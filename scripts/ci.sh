@@ -2,7 +2,8 @@
 # CI entry point: configure + build + test, with warnings-as-errors on
 # the serving-runtime subsystem (src/runtime/ is new code held to a
 # stricter bar than the seed sources), the Release-only scale tier and
-# simulator-performance floor gate (bench_simperf), the capacity-
+# simulator-performance floor gate (bench_simperf), a one-run
+# serve-steady smoke of the repository benchmark (perfbench), the capacity-
 # planner gate (bench_serving --sweep plan: planner pick must equal
 # exhaustive search with strictly fewer probes), the heterogeneous
 # lattice gate (bench_serving --sweep hetero: watt-budgeted server +
@@ -89,6 +90,19 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 # docs/PERFORMANCE.md for the floor-update procedure.
 "${BUILD_DIR}/bench_simperf" --quick --threads 4 \
     --json "${BUILD_DIR}/BENCH_simperf.json"
+
+# Repository-benchmark smoke (Release): one serve-steady run of
+# perfbench (10^6 bursty EDF requests through the 4096-entry map
+# cache, run-ahead 2) must report "correct": true, which covers its
+# canonical digest against perfbench/digests.json, request
+# conservation and byte-identical repeats.
+echo "== perfbench serve-steady smoke =="
+python3 perfbench/run.py --workload serve-steady --seed 0 --seconds 1 \
+    --trace 0 | tail -n 1 | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+print("perfbench serve-steady correct:", result["correct"])
+sys.exit(0 if result["correct"] is True else 1)'
 
 # Capacity-planner gate: on a quick grid the planner's pick must equal
 # the exhaustive-search optimum while spending strictly fewer probes

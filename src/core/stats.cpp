@@ -3,54 +3,62 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace pointacc {
 
-double
-Summary::percentile(double p) const
+std::vector<double>
+Summary::percentiles(const std::vector<double> &ps) const
 {
+    std::vector<double> out(ps.size(), 0.0);
     if (samples.empty())
-        return 0.0;
-    if (scratchStale || scratch.size() != samples.size()) {
-        scratch = samples;
-        scratchStale = false;
+        return out;
+    // (rank, index into ps), visited by ascending rank.
+    std::vector<std::pair<std::size_t, std::size_t>> ranks;
+    ranks.reserve(ps.size());
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+        const double clamped = std::clamp(ps[i], 0.0, 1.0);
+        ranks.emplace_back(
+            static_cast<std::size_t>(
+                clamped * static_cast<double>(samples.size() - 1) + 0.5),
+            i);
     }
-    const double clamped = std::clamp(p, 0.0, 1.0);
-    const auto rank = static_cast<std::size_t>(
-        clamped * static_cast<double>(scratch.size() - 1) + 0.5);
-    std::nth_element(scratch.begin(),
-                     scratch.begin() + static_cast<std::ptrdiff_t>(rank),
-                     scratch.end());
-    return scratch[rank];
+    std::sort(ranks.begin(), ranks.end());
+
+    std::vector<double> scratch(samples);
+    auto from = scratch.begin();
+    for (const auto &[rank, i] : ranks) {
+        const auto nth = scratch.begin() + static_cast<std::ptrdiff_t>(rank);
+        if (nth >= from) {
+            std::nth_element(from, nth, scratch.end());
+            from = nth + 1;
+        }
+        out[i] = *nth;
+    }
+    return out;
+}
+
+void
+Moments::merge(const Moments &other)
+{
+    if (other.n == 0)
+        return;
+    if (n == 0) {
+        *this = other;
+        return;
+    }
+    n += other.n;
+    total += other.total;
+    lo = std::min(lo, other.lo);
+    hi = std::max(hi, other.hi);
 }
 
 void
 Summary::merge(const Summary &other)
 {
-    if (other.samples.empty())
-        return;
-    const bool wasEmpty = samples.empty();
     samples.insert(samples.end(), other.samples.begin(),
                    other.samples.end());
-    total += other.total;
-    if (wasEmpty) {
-        lo = other.lo;
-        hi = other.hi;
-    } else {
-        lo = std::min(lo, other.lo);
-        hi = std::max(hi, other.hi);
-    }
-    scratchStale = true;
-}
-
-void
-Summary::clear()
-{
-    samples.clear();
-    total = 0.0;
-    lo = 0.0;
-    hi = 0.0;
-    scratchStale = true;
+    stats.merge(other.stats);
 }
 
 double

@@ -3,9 +3,9 @@
  * Lightweight counter/accumulator statistics used by every hardware model.
  *
  * Each unit owns its own stats struct; this header only provides the
- * shared primitives (a named-counter registry used by integration tests
- * and a streaming histogram used by the DRAM-distribution experiment,
- * Fig. 19).
+ * shared primitives (a named-counter registry used by integration tests,
+ * sample-free streaming moments, and a sample-keeping summary used for
+ * latency percentiles and the DRAM-distribution experiment, Fig. 19).
  */
 
 #ifndef POINTACC_CORE_STATS_HPP
@@ -47,8 +47,55 @@ class StatRegistry
 };
 
 /**
- * Streaming scalar summary: count / sum / min / max / mean, plus the raw
- * samples so distribution plots (violin-style, Fig. 19) can be rebuilt.
+ * Sample-free streaming moments: count / sum / min / max / mean in
+ * O(1) memory. For series that are only ever read through their
+ * moments (per-request queue waits, per-dispatch batch sizes), so a
+ * 10^6-request report does not hold 10^6 samples nobody reads.
+ */
+class Moments
+{
+  public:
+    void
+    record(double v)
+    {
+        total += v;
+        if (n++ == 0) {
+            lo = hi = v;
+        } else {
+            if (v < lo) lo = v;
+            if (v > hi) hi = v;
+        }
+    }
+
+    /** Fold another accumulator into this one, as if its samples had
+     *  been record()ed here after ours (the sum adds other's total). */
+    void merge(const Moments &other);
+
+    /** Reset to the freshly constructed state. */
+    void clear() { *this = Moments(); }
+
+    std::size_t count() const { return n; }
+    double sum() const { return total; }
+    double min() const { return lo; }
+    double max() const { return hi; }
+
+    double
+    mean() const
+    {
+        return n == 0 ? 0.0 : total / static_cast<double>(n);
+    }
+
+  private:
+    std::size_t n = 0;
+    double total = 0.0;
+    double lo = 0.0;
+    double hi = 0.0;
+};
+
+/**
+ * Streaming scalar summary: the Moments of a series plus its raw
+ * samples, so percentiles and distribution plots (violin-style,
+ * Fig. 19) can be rebuilt.
  */
 class Summary
 {
@@ -57,14 +104,7 @@ class Summary
     record(double v)
     {
         samples.push_back(v);
-        total += v;
-        scratchStale = true;
-        if (samples.size() == 1) {
-            lo = hi = v;
-        } else {
-            if (v < lo) lo = v;
-            if (v > hi) hi = v;
-        }
+        stats.record(v);
     }
 
     /** Fold another summary into this one, as if every sample of
@@ -76,53 +116,39 @@ class Summary
     void merge(const Summary &other);
 
     /** Reset to the freshly constructed state (capacity retained). */
-    void clear();
+    void
+    clear()
+    {
+        samples.clear();
+        stats.clear();
+    }
 
     /** Pre-size the sample buffer (million-request runs would otherwise
      *  pay log2(n) reallocations; the values recorded are unchanged). */
-    void
-    reserve(std::size_t n)
-    {
-        samples.reserve(n);
-        scratch.reserve(n);
-    }
+    void reserve(std::size_t n) { samples.reserve(n); }
 
-    std::size_t count() const { return samples.size(); }
-    double sum() const { return total; }
-    double min() const { return lo; }
-    double max() const { return hi; }
-
-    double
-    mean() const
-    {
-        return samples.empty() ? 0.0
-                               : total / static_cast<double>(samples.size());
-    }
+    std::size_t count() const { return stats.count(); }
+    double sum() const { return stats.sum(); }
+    double min() const { return stats.min(); }
+    double max() const { return stats.max(); }
+    double mean() const { return stats.mean(); }
 
     /** p in [0,1]; nearest-rank percentile over recorded samples.
-     *  Selection (nth_element) over a reused scratch buffer — O(n) per
-     *  call instead of the former copy + full sort per call, and byte-
-     *  identical: the element at a given sorted rank is the same
-     *  whichever algorithm places it there. */
-    double percentile(double p) const;
+     *  Selection (nth_element, O(n)) over a transient copy freed on
+     *  return: the samples keep their record order and no second
+     *  sample-sized buffer outlives the call. */
+    double percentile(double p) const { return percentiles({p}).front(); }
+
+    /** percentile(p) for every p in `ps` (any order), from one
+     *  transient copy: ranks are selected in ascending order, each
+     *  over the suffix the previous selection left above it. */
+    std::vector<double> percentiles(const std::vector<double> &ps) const;
 
     const std::vector<double> &data() const { return samples; }
 
   private:
     std::vector<double> samples;
-    /** Selection workspace, refreshed lazily whenever the sample set
-     *  changed (the explicit dirty flag below — a size comparison
-     *  would miss same-size mutations such as clear()+re-record or a
-     *  merge() that lands back on a previous size). Its ordering
-     *  between calls is irrelevant (rank selection over a multiset of
-     *  values is permutation-invariant). */
-    mutable std::vector<double> scratch;
-    /** True whenever `samples` changed since scratch last mirrored
-     *  it; every mutation path must set it. */
-    mutable bool scratchStale = true;
-    double total = 0.0;
-    double lo = 0.0;
-    double hi = 0.0;
+    Moments stats;
 };
 
 /**

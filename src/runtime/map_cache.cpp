@@ -1,6 +1,6 @@
 #include "runtime/map_cache.hpp"
 
-#include <iterator>
+#include <stdexcept>
 
 #include "core/logging.hpp"
 
@@ -19,7 +19,8 @@ toString(MapCacheEviction policy)
 MapCache::MapCache(MapCacheConfig config) : cfg(config)
 {
     if (cfg.enabled && cfg.capacityEntries < 1)
-        fatal("map cache capacity must be >= 1 when enabled");
+        throw std::invalid_argument(
+            "map cache capacity must be >= 1 when enabled");
 }
 
 bool
@@ -33,8 +34,7 @@ MapCache::recordHit(const MapCacheKey &key)
 {
     const auto it = entries.find(key);
     simAssert(it != entries.end(), "recordHit on a non-resident key");
-    it->second.lastUse = ++tick;
-    it->second.uses += 1;
+    touch(key, it->second, true);
     counters.hits += 1;
     counters.bytesSaved += it->second.entry.mapBytes;
 }
@@ -60,44 +60,44 @@ MapCache::insert(const MapCacheKey &key, const MapCacheEntry &entry)
         // (e.g. the same frame dispatched to two instances before
         // either mapping finished) land here once each.
         it->second.entry = entry;
-        it->second.lastUse = ++tick;
+        touch(key, it->second, false);
         return;
     }
     if (entries.size() >= cfg.capacityEntries)
         evictOne();
     Node node;
     node.entry = entry;
-    node.lastUse = node.insertedAt = ++tick;
+    node.lastUse = ++tick;
     entries.emplace(key, node);
+    order.insert(orderOf(key, node));
     counters.insertions += 1;
+}
+
+MapCache::OrderKey
+MapCache::orderOf(const MapCacheKey &key, const Node &node) const
+{
+    const std::uint64_t rank =
+        cfg.eviction == MapCacheEviction::Lfu ? node.uses : 0;
+    return OrderKey(rank, node.lastUse, key);
+}
+
+void
+MapCache::touch(const MapCacheKey &key, Node &node, bool hit)
+{
+    order.erase(orderOf(key, node));
+    node.lastUse = ++tick;
+    if (hit)
+        node.uses += 1;
+    order.insert(orderOf(key, node));
 }
 
 void
 MapCache::evictOne()
 {
-    simAssert(!entries.empty(), "evicting from an empty map cache");
-    auto victim = entries.begin();
-    for (auto it = std::next(entries.begin()); it != entries.end(); ++it) {
-        const Node &a = it->second;
-        const Node &b = victim->second;
-        bool worse = false;
-        switch (cfg.eviction) {
-          case MapCacheEviction::Lru:
-            worse = a.lastUse < b.lastUse;
-            break;
-          case MapCacheEviction::Lfu:
-            // Least frequently used; ties fall back to recency, then
-            // insertion order, keeping the victim deterministic.
-            worse = a.uses != b.uses ? a.uses < b.uses
-                    : a.lastUse != b.lastUse
-                        ? a.lastUse < b.lastUse
-                        : a.insertedAt < b.insertedAt;
-            break;
-        }
-        if (worse)
-            victim = it;
-    }
-    entries.erase(victim);
+    simAssert(!order.empty(), "evicting from an empty map cache");
+    const auto victim = order.begin();
+    entries.erase(std::get<2>(*victim));
+    order.erase(victim);
     counters.evictions += 1;
 }
 

@@ -22,8 +22,11 @@
  *    FleetScheduler::run), so enabling the cache can only shorten a
  *    dispatch, never lengthen it;
  *  - capacity is enforced on every insert: size() <= capacityEntries
- *    always, with deterministic LRU/LFU victim selection (ties broken
- *    by insertion order) so equal seeds give byte-identical stats;
+ *    always; the victim is the entry with the minimum (uses if LFU,
+ *    last-use tick), which is unique because every touch takes a fresh
+ *    tick, so equal seeds give byte-identical stats;
+ *  - eviction is O(log n): an ordered index over that victim key sits
+ *    next to the entries, so an evicting insert never scans the cache;
  *  - counters are conserved: every lookup the scheduler prices is
  *    counted exactly once as a hit or a miss, and every eviction is
  *    counted exactly once.
@@ -34,6 +37,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <tuple>
 
@@ -145,6 +149,8 @@ struct MapCacheStats
 class MapCache
 {
   public:
+    /** Throws std::invalid_argument when enabled with a capacity
+     *  below one entry. */
     explicit MapCache(MapCacheConfig config);
 
     const MapCacheConfig &config() const { return cfg; }
@@ -192,14 +198,23 @@ class MapCache
     {
         MapCacheEntry entry;
         std::uint64_t lastUse = 0;  ///< logical tick of last touch
-        std::uint64_t uses = 0;     ///< touches since insertion
-        std::uint64_t insertedAt = 0; ///< logical tick of insertion
+        std::uint64_t uses = 0;     ///< hits since insertion
     };
 
+    /** Eviction-order position: (rank, lastUse, key), rank = uses
+     *  under LFU and 0 under LRU. lastUse is unique, so the set's
+     *  first element is the policy's victim. */
+    using OrderKey = std::tuple<std::uint64_t, std::uint64_t, MapCacheKey>;
+
+    OrderKey orderOf(const MapCacheKey &key, const Node &node) const;
+    /** Stamp a fresh tick on `node` (and a use, for a hit), moving it
+     *  to its new place in the eviction order. */
+    void touch(const MapCacheKey &key, Node &node, bool hit);
     void evictOne();
 
     MapCacheConfig cfg;
     std::map<MapCacheKey, Node> entries;
+    std::set<OrderKey> order;
     MapCacheStats counters;
     /** Logical use clock: advanced per touch/insert; deterministic. */
     std::uint64_t tick = 0;

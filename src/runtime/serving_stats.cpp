@@ -88,6 +88,8 @@ mergeShardReports(const std::vector<ServingReport> &shards)
 std::string
 servingSummaryText(const ServingReport &report)
 {
+    const std::vector<double> tailNs =
+        report.latencyCycles.percentiles({0.50, 0.95, 0.99});
     std::ostringstream os;
     os << std::fixed << std::setprecision(3);
     os << report.completed << " completed / " << report.generated
@@ -96,9 +98,10 @@ servingSummaryText(const ServingReport &report)
         os << report.failed << " failed, ";
     os << report.deadlineMisses << " deadline misses), "
        << std::setprecision(1) << report.throughputRps() << " req/s, "
-       << std::setprecision(3) << "latency p50 " << report.p50Ms()
-       << " / p95 " << report.p95Ms() << " / p99 " << report.p99Ms()
-       << " ms";
+       << std::setprecision(3) << "latency p50 "
+       << report.cyclesToMs(tailNs[0]) << " / p95 "
+       << report.cyclesToMs(tailNs[1]) << " / p99 "
+       << report.cyclesToMs(tailNs[2]) << " ms";
     if (report.mapCache.hits + report.mapCache.misses > 0) {
         os << ", map cache " << std::setprecision(0)
            << 100.0 * report.mapCache.hitRate() << "% hits ("
@@ -151,13 +154,16 @@ writeServingJson(std::ostream &os, const ServingReport &report)
     w.field("throughput_rps", report.throughputRps());
     w.field("goodput_rps", report.goodputRps());
     w.field("drop_rate", report.dropRate());
+    // One transient copy of the samples serves all three tails.
+    const std::vector<double> tailNs =
+        report.latencyCycles.percentiles({0.50, 0.95, 0.99});
     w.field("latency_ms_mean", report.meanMs());
-    w.field("latency_ms_p50", report.p50Ms());
-    w.field("latency_ms_p95", report.p95Ms());
-    w.field("latency_ms_p99", report.p99Ms());
-    w.field("latency_ns_p50", report.latencyCycles.percentile(0.50));
-    w.field("latency_ns_p95", report.latencyCycles.percentile(0.95));
-    w.field("latency_ns_p99", report.latencyCycles.percentile(0.99));
+    w.field("latency_ms_p50", report.cyclesToMs(tailNs[0]));
+    w.field("latency_ms_p95", report.cyclesToMs(tailNs[1]));
+    w.field("latency_ms_p99", report.cyclesToMs(tailNs[2]));
+    w.field("latency_ns_p50", tailNs[0]);
+    w.field("latency_ns_p95", tailNs[1]);
+    w.field("latency_ns_p99", tailNs[2]);
     w.field("queue_wait_cycles_mean", report.queueWaitCycles.mean());
     w.field("queue_wait_ns_mean", report.queueWaitCycles.mean());
     w.field("batch_size_mean", report.batchSize.mean());

@@ -13,6 +13,9 @@
  *
  * Latency aggregation reuses core/stats' Summary (nearest-rank
  * percentiles over raw samples) rather than inventing a new histogram.
+ * Series read only through their moments (queue wait, batch size) use
+ * the sample-free Moments, so per completion a report retains just
+ * the latency sample and the completion timestamp.
  *
  * Invariants (fuzzed by test_runtime_properties): generated ==
  * admitted + dropped; admitted == completed + leftoverQueued with
@@ -165,8 +168,8 @@ struct ServingReport
     std::uint64_t deadlineMisses = 0; ///< completed after their deadline
 
     Summary latencyCycles;  ///< arrival -> completion, per request
-    Summary queueWaitCycles;///< arrival -> dispatch, per request
-    Summary batchSize;      ///< requests per dispatch
+    Moments queueWaitCycles;///< arrival -> dispatch, per request
+    Moments batchSize;      ///< requests per dispatch
 
     /** Kernel-map cache counters (all zero when the cache is off). */
     MapCacheStats mapCache;
@@ -259,8 +262,9 @@ struct ServingReport
  * independent of thread count.
  *
  * Semantics: counters and busy cycles sum; latency/wait/batch
- * summaries merge (Summary::merge); completionCycles are merged as
- * sorted sequences so the fleet-level stream stays non-decreasing;
+ * summaries merge (Summary::merge, Moments::merge); completionCycles
+ * are merged as sorted sequences so the fleet-level stream stays
+ * non-decreasing;
  * horizon is the max over shards (the fleet's span is its slowest
  * shard's span); accelerators concatenate in shard order; freqGHz and
  * occupancy are taken from the first shard (shards are homogeneous by

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "core/point_cloud.hpp"
 #include "core/rng.hpp"
@@ -246,14 +248,14 @@ TEST(Stats, GeomeanRejectsNonPositiveSamples)
 
 TEST(Stats, PercentileSeesSameSizeMutations)
 {
-    // Regression: the selection scratch used to refresh only when
-    // samples.size() changed, so any same-size mutation (clear() +
-    // re-record, a size-preserving merge sequence) selected over the
-    // STALE values. The dirty flag must catch it.
+    // Regression: a persistent selection scratch once refreshed only
+    // when samples.size() changed, so a same-size mutation (clear() +
+    // re-record) selected over STALE values. Percentiles now select
+    // over a transient copy, so there is no state to go stale.
     Summary s;
     for (double v : {10.0, 20.0, 30.0})
         s.record(v);
-    EXPECT_DOUBLE_EQ(s.percentile(0.5), 20.0); // seeds the scratch
+    EXPECT_DOUBLE_EQ(s.percentile(0.5), 20.0);
 
     s.clear();
     for (double v : {1.0, 2.0, 3.0}) // same count as before
@@ -261,6 +263,31 @@ TEST(Stats, PercentileSeesSameSizeMutations)
     EXPECT_DOUBLE_EQ(s.percentile(0.5), 2.0);
     EXPECT_DOUBLE_EQ(s.percentile(1.0), 3.0);
     EXPECT_DOUBLE_EQ(s.percentile(0.0), 1.0);
+}
+
+TEST(Stats, PercentileAfterClearAndReRecordOfAnySize)
+{
+    Summary s;
+    for (double v : {40.0, 10.0, 30.0, 20.0})
+        s.record(v);
+    EXPECT_DOUBLE_EQ(s.percentile(0.99), 40.0);
+
+    // Fewer samples than before, then more: each percentile sees
+    // exactly the live samples.
+    s.clear();
+    for (double v : {7.0, 5.0})
+        s.record(v);
+    EXPECT_DOUBLE_EQ(s.percentile(0.0), 5.0);
+    EXPECT_DOUBLE_EQ(s.percentile(1.0), 7.0);
+    for (double v : {9.0, 1.0, 3.0})
+        s.record(v);
+    EXPECT_DOUBLE_EQ(s.percentile(0.0), 1.0);
+    EXPECT_DOUBLE_EQ(s.percentile(0.5), 5.0);
+    EXPECT_DOUBLE_EQ(s.percentile(1.0), 9.0);
+
+    // Selection works on a copy: the samples keep record order.
+    const std::vector<double> recorded = {7.0, 5.0, 9.0, 1.0, 3.0};
+    EXPECT_EQ(s.data(), recorded);
 }
 
 TEST(Stats, ClearResetsToFreshState)
@@ -293,7 +320,7 @@ TEST(Stats, MergeMatchesSingleSummaryRun)
         b.record(v);
         all.record(v);
     }
-    a.percentile(0.5); // seed a's scratch: merge must invalidate it
+    a.percentile(0.5); // a percentile before the merge changes nothing
     a.merge(b);
     EXPECT_EQ(a.count(), all.count());
     EXPECT_DOUBLE_EQ(a.sum(), all.sum());
@@ -322,6 +349,177 @@ TEST(Stats, MergeHandlesEmptySummaries)
     Summary e1, e2;
     e1.merge(e2);
     EXPECT_EQ(e1.count(), 0u);
+}
+
+TEST(Stats, PercentilesMatchSinglePercentileCalls)
+{
+    // One copy, ascending-rank selections over shrinking suffixes: each
+    // result must equal the nearest-rank element of a fully sorted
+    // copy, whatever the order of ps, with repeated ranks, duplicates
+    // and tiny sample counts.
+    const std::vector<double> ps = {0.99, 0.0, 0.5, 0.95, 0.5, 1.0, 0.25,
+                                    -1.0, 2.0};
+    Rng rng(23);
+    for (std::size_t n : {0u, 1u, 2u, 3u, 10u, 101u, 5000u}) {
+        Summary s;
+        for (std::size_t i = 0; i < n; ++i)
+            s.record(static_cast<double>(rng.range(n / 2 + 1)));
+        const std::vector<double> before = s.data();
+        const std::vector<double> got = s.percentiles(ps);
+        std::vector<double> sorted = before;
+        std::sort(sorted.begin(), sorted.end());
+        ASSERT_EQ(got.size(), ps.size());
+        for (std::size_t i = 0; i < ps.size(); ++i) {
+            const double p = std::clamp(ps[i], 0.0, 1.0);
+            const double expected =
+                n == 0 ? 0.0
+                       : sorted[static_cast<std::size_t>(
+                             p * static_cast<double>(n - 1) + 0.5)];
+            EXPECT_EQ(got[i], expected) << n << " p=" << ps[i];
+            EXPECT_EQ(s.percentile(ps[i]), expected) << n << " p=" << ps[i];
+        }
+        EXPECT_EQ(s.data(), before);
+    }
+    EXPECT_TRUE(Summary().percentiles({}).empty());
+}
+
+/** Seeded sample streams shared by the Moments tests: empty, one
+ *  sample, negative/duplicate values, and longer random runs. */
+std::vector<std::vector<double>>
+momentStreams()
+{
+    std::vector<std::vector<double>> streams = {
+        {}, {3.5}, {-2.0}, {4.0, 4.0, 4.0}, {-1.5, 2.25, -7.0, 0.0}};
+    Rng rng(17);
+    for (std::size_t n : {2u, 9u, 100u, 1000u}) {
+        std::vector<double> v;
+        for (std::size_t i = 0; i < n; ++i)
+            v.push_back(rng.uniform(-1e3, 1e6));
+        streams.push_back(v);
+    }
+    return streams;
+}
+
+void
+expectSameMoments(const Moments &m, const Summary &s)
+{
+    EXPECT_EQ(m.count(), s.count());
+    EXPECT_EQ(m.sum(), s.sum());
+    EXPECT_EQ(m.min(), s.min());
+    EXPECT_EQ(m.max(), s.max());
+    EXPECT_EQ(m.mean(), s.mean());
+}
+
+/** Left-to-right sum from 0.0: the fold record() must reproduce. */
+double
+foldSum(const std::vector<double> &v)
+{
+    double total = 0.0;
+    for (double x : v)
+        total += x;
+    return total;
+}
+
+TEST(Stats, MomentsMatchSummaryBitForBit)
+{
+    // Serving reports keep queue waits and batch sizes as Moments; the
+    // JSON they feed must not move by a single bit versus Summary, nor
+    // versus a plain fold over the samples.
+    for (const auto &stream : momentStreams()) {
+        SCOPED_TRACE("stream of " + std::to_string(stream.size()));
+        Moments m;
+        Summary s;
+        for (double v : stream) {
+            m.record(v);
+            s.record(v);
+            expectSameMoments(m, s);
+        }
+        expectSameMoments(m, s);
+        EXPECT_EQ(m.sum(), foldSum(stream));
+        if (!stream.empty()) {
+            EXPECT_EQ(m.min(),
+                      *std::min_element(stream.begin(), stream.end()));
+            EXPECT_EQ(m.max(),
+                      *std::max_element(stream.begin(), stream.end()));
+            EXPECT_EQ(m.mean(),
+                      foldSum(stream) / static_cast<double>(stream.size()));
+        }
+        m.clear();
+        s.clear();
+        expectSameMoments(m, s);
+        EXPECT_EQ(m.count(), 0u);
+        EXPECT_EQ(m.mean(), 0.0);
+    }
+}
+
+TEST(Stats, MomentsMergeMatchesSingleRunInBothOrders)
+{
+    // Integer-valued samples (what queue waits in ns and batch sizes
+    // are) keep every partial sum exact, so a merge must equal one run
+    // over the union bit for bit, whichever side absorbs the other.
+    Rng rng(5);
+    for (std::size_t na : {0u, 1u, 3u, 50u}) {
+        for (std::size_t nb : {0u, 1u, 4u, 70u}) {
+            Moments a, b, ab, ba;
+            std::vector<double> av, bv;
+            for (std::size_t i = 0; i < na; ++i)
+                av.push_back(static_cast<double>(rng.range(1'000'000)));
+            for (std::size_t i = 0; i < nb; ++i)
+                bv.push_back(static_cast<double>(rng.range(1'000'000)));
+            for (double v : av) {
+                a.record(v);
+                ab.record(v);
+            }
+            for (double v : bv) {
+                b.record(v);
+                ab.record(v);
+            }
+            for (double v : bv)
+                ba.record(v);
+            for (double v : av)
+                ba.record(v);
+
+            SCOPED_TRACE(std::to_string(na) + " + " + std::to_string(nb));
+            Moments aThenB = a;
+            aThenB.merge(b);
+            Moments bThenA = b;
+            bThenA.merge(a);
+            for (const Moments *m : {&aThenB, &bThenA}) {
+                EXPECT_EQ(m->count(), ab.count());
+                EXPECT_EQ(m->sum(), ab.sum());
+                EXPECT_EQ(m->min(), ab.min());
+                EXPECT_EQ(m->max(), ab.max());
+                EXPECT_EQ(m->mean(), ab.mean());
+                EXPECT_EQ(m->mean(), ba.mean());
+            }
+        }
+    }
+}
+
+TEST(Stats, MomentsMergeMatchesSummaryMerge)
+{
+    // Over arbitrary doubles the merged sum depends on the fold order:
+    // both merges must add the two partial sums, ours first.
+    const auto streams = momentStreams();
+    for (const auto &x : streams) {
+        for (const auto &y : streams) {
+            Moments mx, my;
+            Summary sx, sy;
+            for (double v : x) {
+                mx.record(v);
+                sx.record(v);
+            }
+            for (double v : y) {
+                my.record(v);
+                sy.record(v);
+            }
+            mx.merge(my);
+            sx.merge(sy);
+            expectSameMoments(mx, sx);
+            EXPECT_EQ(mx.count(), x.size() + y.size());
+            EXPECT_EQ(mx.sum(), foldSum(x) + foldSum(y));
+        }
+    }
 }
 
 } // namespace

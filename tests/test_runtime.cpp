@@ -660,6 +660,20 @@ TEST(MapCache, CountersAndIdempotentInsert)
     EXPECT_FALSE(cache.contains(otherLayers));
 }
 
+TEST(MapCache, ZeroCapacityThrowsOnlyWhenEnabled)
+{
+    MapCacheConfig mcfg;
+    mcfg.capacityEntries = 0;
+    mcfg.enabled = true;
+    EXPECT_THROW(MapCache{mcfg}, std::invalid_argument);
+    // A disabled cache is never inserted into, so its capacity is moot.
+    mcfg.enabled = false;
+    EXPECT_NO_THROW(MapCache{mcfg});
+    mcfg.enabled = true;
+    mcfg.capacityEntries = 1;
+    EXPECT_NO_THROW(MapCache{mcfg});
+}
+
 // ---------------------------------------------------------------- //
 //                      Scheduler + fleet                            //
 // ---------------------------------------------------------------- //

@@ -18,7 +18,8 @@
  *  - map-cache invariants: hits + misses account exactly for every
  *    completion, evictions never exceed insertions, and enabling the
  *    cache never slows any request down (a hit is clamped to be no
- *    slower than the miss it replaces).
+ *    slower than the miss it replaces); the O(log n) ordered eviction
+ *    index evicts exactly the victims of a linear-scan oracle.
  *
  * The service model is a seeded random phase table, so the fuzz space
  * covers map-bound, backend-bound and degenerate (zero-phase) costs
@@ -88,6 +89,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <set>
 #include <sstream>
@@ -98,6 +100,7 @@
 #include "nn/zoo.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/faults.hpp"
+#include "runtime/map_cache.hpp"
 #include "runtime/planner.hpp"
 #include "runtime/reference.hpp"
 #include "runtime/scheduler.hpp"
@@ -705,6 +708,194 @@ TEST(RuntimeProperties, MapCacheNeverSlowsASingleInstance)
             EXPECT_LE(onReport.horizonCycles, offReport.horizonCycles);
         });
     }
+}
+
+/**
+ * Brute-force oracle for MapCache: the linear-scan victim search the
+ * ordered eviction index replaced, kept verbatim (insertion-order
+ * tie-break included) so the differential below proves the index
+ * picks the same victims.
+ */
+class LinearScanMapCache
+{
+  public:
+    explicit LinearScanMapCache(MapCacheConfig config) : cfg(config) {}
+
+    bool contains(const MapCacheKey &key) const
+    {
+        return entries.count(key) != 0;
+    }
+
+    std::size_t size() const { return entries.size(); }
+
+    std::vector<MapCacheKey>
+    resident() const
+    {
+        std::vector<MapCacheKey> keys;
+        for (const auto &kv : entries)
+            keys.push_back(kv.first);
+        return keys;
+    }
+
+    void
+    recordHit(const MapCacheKey &key)
+    {
+        Node &node = entries.at(key);
+        node.lastUse = ++tick;
+        node.uses += 1;
+        stats.hits += 1;
+        stats.bytesSaved += node.entry.mapBytes;
+    }
+
+    void recordMiss() { stats.misses += 1; }
+
+    void
+    insert(const MapCacheKey &key, const MapCacheEntry &entry)
+    {
+        const auto it = entries.find(key);
+        if (it != entries.end()) {
+            it->second.entry = entry;
+            it->second.lastUse = ++tick;
+            return;
+        }
+        if (entries.size() >= cfg.capacityEntries)
+            evictOne();
+        Node node;
+        node.entry = entry;
+        node.lastUse = node.insertedAt = ++tick;
+        entries.emplace(key, node);
+        stats.insertions += 1;
+    }
+
+    MapCacheStats stats;
+
+  private:
+    struct Node
+    {
+        MapCacheEntry entry;
+        std::uint64_t lastUse = 0;
+        std::uint64_t uses = 0;
+        std::uint64_t insertedAt = 0;
+    };
+
+    void
+    evictOne()
+    {
+        auto victim = entries.begin();
+        for (auto it = std::next(entries.begin()); it != entries.end();
+             ++it) {
+            const Node &a = it->second;
+            const Node &b = victim->second;
+            bool worse = false;
+            switch (cfg.eviction) {
+              case MapCacheEviction::Lru:
+                worse = a.lastUse < b.lastUse;
+                break;
+              case MapCacheEviction::Lfu:
+                worse = a.uses != b.uses ? a.uses < b.uses
+                        : a.lastUse != b.lastUse
+                            ? a.lastUse < b.lastUse
+                            : a.insertedAt < b.insertedAt;
+                break;
+            }
+            if (worse)
+                victim = it;
+        }
+        entries.erase(victim);
+        stats.evictions += 1;
+    }
+
+    MapCacheConfig cfg;
+    std::map<MapCacheKey, Node> entries;
+    std::uint64_t tick = 0;
+};
+
+void
+expectSameMapCacheStats(const MapCacheStats &a, const MapCacheStats &b)
+{
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_EQ(a.insertions, b.insertions);
+    EXPECT_EQ(a.evictions, b.evictions);
+    EXPECT_EQ(a.bytesSaved, b.bytesSaved);
+    EXPECT_EQ(a.cyclesSaved, b.cyclesSaved);
+}
+
+TEST(RuntimeEquivalence, MapCacheEvictsExactlyLikeLinearScan)
+{
+    // 200 seeded op sequences per (capacity, policy): inserts of new
+    // keys, refreshes of resident ones, hits, misses and pure lookups
+    // over a key space ~2x the capacity, so evictions are constant and
+    // LFU use counts tie often. After every op the resident sets, a
+    // random contains() and the counters must agree with the oracle.
+    forEachSeed(0, 200, [](std::uint64_t seed) {
+        for (const std::size_t capacity : {1u, 2u, 7u, 64u}) {
+            for (const auto policy :
+                 {MapCacheEviction::Lru, MapCacheEviction::Lfu}) {
+                SCOPED_TRACE("seed " + std::to_string(seed) + " capacity " +
+                             std::to_string(capacity) + " " +
+                             toString(policy));
+                MapCacheConfig mcfg;
+                mcfg.enabled = true;
+                mcfg.capacityEntries = capacity;
+                mcfg.eviction = policy;
+                MapCache cache(mcfg);
+                LinearScanMapCache oracle(mcfg);
+                Rng rng(seed * 0x9e3779b97f4a7c15ULL + capacity);
+                const std::uint64_t keySpace = 2 * capacity + 3;
+                const auto randomKey = [&] {
+                    MapCacheKey key;
+                    key.cloudId = 1 + rng.range(keySpace);
+                    key.networkId =
+                        static_cast<std::uint32_t>(rng.range(2));
+                    return key;
+                };
+                for (int op = 0; op < 300; ++op) {
+                    const std::vector<MapCacheKey> resident =
+                        oracle.resident();
+                    const auto pickResident = [&] {
+                        return resident[rng.range(resident.size())];
+                    };
+                    const MapCacheEntry entry{rng.range(1000),
+                                              rng.range(1000)};
+                    switch (rng.range(resident.empty() ? 2 : 4)) {
+                      case 0: { // insert (new, or refresh by chance)
+                        const MapCacheKey key = randomKey();
+                        cache.insert(key, entry);
+                        oracle.insert(key, entry);
+                        break;
+                      }
+                      case 1: { // priced miss + pure lookup
+                        const MapCacheKey key = randomKey();
+                        ASSERT_EQ(cache.contains(key),
+                                  oracle.contains(key));
+                        cache.recordMiss();
+                        oracle.recordMiss();
+                        break;
+                      }
+                      case 2: { // re-insert a resident key (refresh)
+                        const MapCacheKey key = pickResident();
+                        cache.insert(key, entry);
+                        oracle.insert(key, entry);
+                        break;
+                      }
+                      default: { // hit on a resident key
+                        const MapCacheKey key = pickResident();
+                        cache.recordHit(key);
+                        oracle.recordHit(key);
+                        break;
+                      }
+                    }
+                    ASSERT_EQ(cache.size(), oracle.size()) << "op " << op;
+                    for (const MapCacheKey &key : oracle.resident())
+                        ASSERT_TRUE(cache.contains(key)) << "op " << op;
+                    const MapCacheKey probe = randomKey();
+                    ASSERT_EQ(cache.contains(probe), oracle.contains(probe));
+                    expectSameMapCacheStats(cache.stats(), oracle.stats);
+                }
+            }
+        }
+    });
 }
 
 // ---------------------------------------------------------------- //
