@@ -448,15 +448,19 @@ AdmissionQueue::popLedByBuckets(
 
     // Candidate class sub-queues: (lead's network) x allowed buckets.
     // Deduplicated — two cursors over one sub-queue would invalidate
-    // each other's iterators on erase.
+    // each other's iterators on erase. Each ring's dead prefix (the
+    // members earlier batches took) is dropped here, so it is walked
+    // once rather than once per formation.
     std::vector<OrderIndex *> cand;
     for (const std::uint32_t b : buckets) {
         const auto it = impl->classes.find({lead.networkId, b});
         if (it == impl->classes.end())
             continue;
         if (std::find(cand.begin(), cand.end(), &it->second) ==
-            cand.end())
+            cand.end()) {
+            Impl::pruneFront(it->second, *impl);
             cand.push_back(&it->second);
+        }
     }
 
     // K-way merge across the candidate classes in rank order. A
