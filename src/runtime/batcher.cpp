@@ -2,22 +2,31 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
 
 #include "core/logging.hpp"
 
 namespace pointacc {
 
+void
+validateBatcherConfig(const BatcherConfig &config,
+                      const std::vector<double> &bucket_scales)
+{
+    if (config.maxBatchSize < 1)
+        throw std::invalid_argument("batcher maxBatchSize must be >= 1");
+    if (!(config.maxPointsRatio >= 1.0))
+        throw std::invalid_argument("batcher maxPointsRatio must be >= 1");
+    if (config.targetK < 1)
+        throw std::invalid_argument("batcher targetK must be >= 1");
+    if (bucket_scales.empty())
+        throw std::invalid_argument(
+            "batcher needs at least one size bucket");
+}
+
 Batcher::Batcher(const BatcherConfig &config, std::vector<double> bucket_scales)
     : cfg(config), bucketScales(std::move(bucket_scales))
 {
-    if (cfg.maxBatchSize < 1)
-        fatal("batcher maxBatchSize must be >= 1");
-    if (cfg.maxPointsRatio < 1.0)
-        fatal("batcher maxPointsRatio must be >= 1");
-    if (cfg.targetK < 1)
-        fatal("batcher targetK must be >= 1");
-    if (bucketScales.empty())
-        fatal("batcher needs at least one size bucket");
+    validateBatcherConfig(cfg, bucketScales);
 }
 
 bool

@@ -140,12 +140,22 @@ struct DispatchCost
     std::uint64_t arrivalGapNs = 0;
 };
 
+/**
+ * Throw std::invalid_argument on the first violated batcher rule:
+ * maxBatchSize >= 1, maxPointsRatio >= 1, targetK >= 1, and at least
+ * one size bucket. The Batcher constructor and FleetScheduler's
+ * constructor both call it, so a bad config fails at construction.
+ */
+void validateBatcherConfig(const BatcherConfig &config,
+                           const std::vector<double> &bucket_scales);
+
 /** Groups queue heads into batches under a compatibility rule. */
 class Batcher
 {
   public:
     /** `bucket_scales`: the serving catalog's cloud-size buckets, used
-     *  to evaluate the size-ratio rule. */
+     *  to evaluate the size-ratio rule. Throws std::invalid_argument
+     *  when validateBatcherConfig rejects the pair. */
     Batcher(const BatcherConfig &config, std::vector<double> bucket_scales);
 
     const BatcherConfig &config() const { return cfg; }

@@ -189,6 +189,7 @@ struct AdmissionQueue::Impl
         for (const auto &e : ix.ring)
             if (alive(e))
                 keep.push_back(e);
+        tombstones += ix.ring.size() - keep.size();
         ix.ring.swap(keep);
     }
 
@@ -243,13 +244,15 @@ struct AdmissionQueue::Impl
     /** Physically drop dead entries at a ring's front so the head
      *  stays an O(1) read (every FIFO pop tombstones the front; batch
      *  followers leave interior tombstones for compaction). */
-    static void
-    pruneFront(OrderIndex &ix, const Impl &impl)
+    void
+    pruneFront(OrderIndex &ix)
     {
         if (ix.treeMode)
             return;
-        while (!ix.ring.empty() && !impl.alive(ix.ring.front()))
+        while (!ix.ring.empty() && !alive(ix.ring.front())) {
             ix.ring.pop_front();
+            tombstones += 1;
+        }
     }
 
     /** First live entry in global rank order passing `pass`, or
@@ -265,10 +268,12 @@ struct AdmissionQueue::Impl
             }
             return nullptr;
         }
-        pruneFront(global, *this);
+        pruneFront(global);
         for (const Entry &e : global.ring) {
-            if (!alive(e))
+            if (!alive(e)) {
+                tombstones += 1;
                 continue;
+            }
             const Request &r = live.at(e.id).r;
             if (!pass || pass(r))
                 return &r;
@@ -277,6 +282,8 @@ struct AdmissionQueue::Impl
     }
 
     bool ranked = false; ///< indexes valid for indexedPolicy
+    /** Dead ring entries stepped over or dropped (tombstonesWalked). */
+    std::uint64_t tombstones = 0;
 };
 
 AdmissionQueue::AdmissionQueue(std::size_t max_depth)
@@ -353,75 +360,6 @@ AdmissionQueue::pop(QueuePolicy policy)
 }
 
 std::vector<Request>
-AdmissionQueue::popCompatible(
-    QueuePolicy policy,
-    const std::function<bool(const Request &, const Request &)> &compatible,
-    std::size_t max_count)
-{
-    simAssert(!empty(), "popCompatible on empty queue");
-    return popLedBy(peek(policy), policy, compatible, max_count, nullptr);
-}
-
-std::vector<Request>
-AdmissionQueue::popLedBy(
-    const Request &head, QueuePolicy policy,
-    const std::function<bool(const Request &, const Request &)> &compatible,
-    std::size_t max_count,
-    const std::function<bool(const Request &)> &excluded)
-{
-    simAssert(max_count >= 1, "popLedBy needs max_count >= 1");
-    impl->ensureIndexed(policy);
-    const Request lead = head; // copy: `head` may point into the queue
-    const auto stored = impl->live.find(lead.id);
-    simAssert(stored != impl->live.end(), "popLedBy head is not queued");
-
-    std::vector<Request> out;
-    out.reserve(std::min<std::size_t>(max_count, impl->live.size()));
-    out.push_back(stored->second.r);
-    impl->removeById(lead.id);
-
-    // Followers in global rank order. Predicates are fixed for the
-    // duration of the call, so one ordered pass taking the first
-    // max_count - 1 passers selects exactly what the seed's repeated
-    // best-of-scan did.
-    const auto wanted = [&](const Request &r) {
-        return compatible(lead, r) && !(excluded && excluded(r));
-    };
-    if (impl->global.treeMode) {
-        auto it = impl->global.tree.begin();
-        while (it != impl->global.tree.end() && out.size() < max_count) {
-            const Request &r = impl->live.at(it->id).r;
-            if (wanted(r)) {
-                const Entry e = *it;
-                out.push_back(r);
-                it = impl->global.tree.erase(it);
-                impl->global.liveCount -= 1;
-                impl->indexErase(impl->classOf(out.back()), e);
-                impl->live.erase(e.id);
-            } else {
-                ++it;
-            }
-        }
-    } else {
-        Impl::pruneFront(impl->global, *impl);
-        for (const Entry &e : impl->global.ring) {
-            if (out.size() >= max_count)
-                break;
-            if (!impl->alive(e))
-                continue;
-            const Request &r = impl->live.at(e.id).r;
-            if (!wanted(r))
-                continue;
-            out.push_back(r);
-            impl->global.liveCount -= 1;
-            impl->indexErase(impl->classOf(out.back()), e);
-            impl->live.erase(e.id);
-        }
-    }
-    return out;
-}
-
-std::vector<Request>
 AdmissionQueue::popLedByBuckets(
     const Request &head, QueuePolicy policy,
     const std::vector<std::uint32_t> &buckets,
@@ -458,7 +396,7 @@ AdmissionQueue::popLedByBuckets(
             continue;
         if (std::find(cand.begin(), cand.end(), &it->second) ==
             cand.end()) {
-            Impl::pruneFront(it->second, *impl);
+            impl->pruneFront(it->second);
             cand.push_back(&it->second);
         }
     }
@@ -487,8 +425,10 @@ AdmissionQueue::popLedByBuckets(
                     continue;
             } else {
                 while (c.ri < c.ix->ring.size() &&
-                       !impl->alive(c.ix->ring[c.ri]))
+                       !impl->alive(c.ix->ring[c.ri])) {
                     c.ri += 1;
+                    impl->tombstones += 1;
+                }
                 if (c.ri >= c.ix->ring.size())
                     continue;
             }
@@ -544,19 +484,27 @@ AdmissionQueue::visitClass(
     if (it == impl->classes.end())
         return;
     OrderIndex &ix = it->second;
-    Impl::pruneFront(ix, *impl);
+    impl->pruneFront(ix);
     if (ix.treeMode) {
         for (const Entry &e : ix.tree)
             if (!fn(impl->live.at(e.id).r))
                 return;
     } else {
         for (const Entry &e : ix.ring) {
-            if (!impl->alive(e))
+            if (!impl->alive(e)) {
+                impl->tombstones += 1;
                 continue;
+            }
             if (!fn(impl->live.at(e.id).r))
                 return;
         }
     }
+}
+
+std::uint64_t
+AdmissionQueue::tombstonesWalked() const
+{
+    return impl->tombstones;
 }
 
 } // namespace pointacc

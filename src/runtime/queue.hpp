@@ -27,9 +27,11 @@
  *  - SJF/EDF ordered indexes keyed (policy key, arrival, id) with
  *    O(log depth) insert/erase;
  *  - per-(networkId, sizeBucket) class sub-queues in the same rank
- *    order, so batch formation (popLedBy via Batcher) and wait-for-K
- *    group counting visit only candidate classes instead of scanning
- *    the whole queue.
+ *    order, so batch formation (popLedByBuckets via Batcher) and
+ *    wait-for-K group counting visit only candidate classes instead of
+ *    scanning the whole queue. A FIFO class ring's dead prefix (the
+ *    members earlier batches took) is pruned when a batch forms over
+ *    it, so each dead entry is walked once, not once per formation.
  *
  * Every ranking is the total order (policy key, arrival cycle, id) the
  * seed used, so pop order — including every tie-break — is unchanged;
@@ -117,32 +119,18 @@ class AdmissionQueue
     Request pop(QueuePolicy policy);
 
     /**
-     * Pop the request with `head`'s id plus up to `max_count - 1`
-     * further requests satisfying `compatible(head, other)` and not
-     * rejected by `excluded` (empty = no filter), in policy order.
-     * `head` must be queued. This is popCompatible anchored at an
-     * explicit leader instead of the policy head. The predicate is
-     * arbitrary, so selection traverses the global rank order; the
-     * batcher's structured path (popLedByBuckets) narrows the
-     * traversal to candidate classes instead.
-     */
-    std::vector<Request>
-    popLedBy(const Request &head, QueuePolicy policy,
-             const std::function<bool(const Request &, const Request &)>
-                 &compatible,
-             std::size_t max_count,
-             const std::function<bool(const Request &)> &excluded);
-
-    /**
      * Batch formation over class sub-queues: pop `head` plus up to
      * `max_count - 1` followers drawn only from the (head.networkId,
      * bucket) sub-queues for the listed `buckets`, in policy order
      * across those classes, accepting a follower r only when
      * `extra(head, r)` (empty = always) holds and `excluded(r)` (empty
      * = never) does not. With `buckets` = every bucket whose size
-     * ratio the batcher allows, this selects exactly the requests the
-     * generic popLedBy would — without visiting other networks'
-     * entries.
+     * ratio the batcher allows, this selects exactly the requests a
+     * policy-order scan of the whole queue for same-network followers
+     * would (the seed's selection, LinearRequestQueue::popLedBy) —
+     * without visiting other networks' entries. The head anchors the
+     * batch, so policy ordering decides *which* batch forms and the
+     * predicates decide who may join it.
      */
     std::vector<Request>
     popLedByBuckets(const Request &head, QueuePolicy policy,
@@ -151,19 +139,6 @@ class AdmissionQueue
                                              const Request &)> &extra,
                     std::size_t max_count,
                     const std::function<bool(const Request &)> &excluded);
-
-    /**
-     * Pop the policy's head request plus up to `max_count - 1` further
-     * requests satisfying `compatible(head, other)`, in policy order.
-     * This is the batcher's access path: the head anchors the batch so
-     * policy ordering decides *which* batch forms, and compatibility
-     * decides who may join it.
-     */
-    std::vector<Request>
-    popCompatible(QueuePolicy policy,
-                  const std::function<bool(const Request &, const Request &)>
-                      &compatible,
-                  std::size_t max_count);
 
     /**
      * Visit every queued request of class (networkId, sizeBucket) in
@@ -177,6 +152,16 @@ class AdmissionQueue
 
     std::uint64_t admitted() const { return numAdmitted; }
     std::uint64_t dropped() const { return numDropped; }
+
+    /**
+     * Engine self-metric: dead FIFO ring entries that traversals have
+     * stepped over or dropped since construction (front prunes,
+     * in-place skips, compaction). Each popped request leaves two
+     * (one in the global ring, one in its class ring); a count that
+     * grows faster than that means some path re-walks dead entries
+     * per call. Not part of any report.
+     */
+    std::uint64_t tombstonesWalked() const;
 
   private:
     struct Impl;

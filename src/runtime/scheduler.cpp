@@ -267,12 +267,15 @@ FleetScheduler::FleetScheduler(std::vector<AcceleratorConfig> fleet_,
     if (cfg.autoscaler.enabled)
         cfg.autoscaler =
             resolveAutoscalerConfig(cfg.autoscaler, fleet.size());
-    // The fault program and retry policy fail fast the same way
-    // (mirroring validateWorkloadSpec): malformed inputs throw
+    // The fault program, retry policy and batcher config fail fast the
+    // same way (mirroring validateWorkloadSpec): malformed inputs throw
     // std::invalid_argument at construction, never mid-simulation.
-    // Both validate vacuously when disabled.
+    // The first two validate vacuously when disabled; the batcher
+    // config is checked even with batching off, because run() builds
+    // its Batcher either way.
     validateFaultProgram(cfg.faults);
     validateRetryPolicy(cfg.retry);
+    validateBatcherConfig(cfg.batcher, bucketScales);
     if (cfg.runAheadDepth < 1)
         fatal("runAheadDepth must be >= 1 (1 is the blocking handoff)");
     for (const auto &acc : fleet) {

@@ -18,6 +18,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "core/rng.hpp"
 #include "nn/zoo.hpp"
 #include "runtime/autoscaler.hpp"
 #include "runtime/batcher.hpp"
@@ -404,7 +405,7 @@ TEST(FaultValidation, MaterializeIsDeterministicAndFleetBounded)
     EXPECT_TRUE(materializeFaultEvents(off, 4).empty());
 }
 
-TEST(AdmissionQueue, PopCompatibleHonorsPredicateAndBound)
+TEST(AdmissionQueue, PopLedByBucketsHonorsNetworkAndBound)
 {
     AdmissionQueue q(8);
     for (std::uint64_t i = 0; i < 6; ++i) {
@@ -412,10 +413,9 @@ TEST(AdmissionQueue, PopCompatibleHonorsPredicateAndBound)
         r.networkId = i % 2; // alternate two networks
         q.push(r);
     }
-    const auto same = [](const Request &a, const Request &b) {
-        return a.networkId == b.networkId;
-    };
-    const auto batch = q.popCompatible(QueuePolicy::Fifo, same, 2);
+    const Request head = q.peek(QueuePolicy::Fifo);
+    const auto batch = q.popLedByBuckets(head, QueuePolicy::Fifo, {0u},
+                                         nullptr, 2, nullptr);
     ASSERT_EQ(batch.size(), 2u);
     EXPECT_EQ(batch[0].id, 0u);
     EXPECT_EQ(batch[1].id, 2u); // next same-network, not id 1
@@ -504,6 +504,40 @@ TEST(AdmissionQueue, PopLedByBucketsMergesClassesInPolicyOrder)
     EXPECT_EQ(q.size(), 1u); // id 5 remains
 }
 
+TEST(AdmissionQueue, FifoFormationWalksEachTombstoneOnce)
+{
+    // The serving overload pattern: a FIFO queue held at depth 4096
+    // over three network classes, drained by 8-wide batches and
+    // refilled in arrival order. Each popped request leaves one dead
+    // entry in the global ring and one in its class ring, and each is
+    // walked once. A formation path that re-walked a class ring's dead
+    // prefix per batch would step over O(depth) entries per batch.
+    const std::size_t depth = 4096;
+    AdmissionQueue q(depth);
+    Rng rng(0x7a11);
+    std::uint64_t nextId = 0;
+    const auto refill = [&] {
+        while (q.size() < depth) {
+            auto r = makeRequest(nextId, nextId);
+            r.networkId = static_cast<std::uint32_t>(rng.range(3));
+            nextId += 1;
+            ASSERT_TRUE(q.push(r));
+        }
+    };
+    refill();
+    std::uint64_t popped = 0;
+    for (int f = 0; f < 20'000; ++f) {
+        const Request head = q.peek(QueuePolicy::Fifo);
+        popped += q.popLedByBuckets(head, QueuePolicy::Fifo, {0u},
+                                    nullptr, 8, nullptr)
+                      .size();
+        refill();
+    }
+    EXPECT_GT(popped, 100'000u); // the batches really were ~8 wide
+    EXPECT_GT(q.tombstonesWalked(), popped); // the metric is live
+    EXPECT_LE(q.tombstonesWalked(), 2 * popped);
+}
+
 // ---------------------------------------------------------------- //
 //                            Batcher                                //
 // ---------------------------------------------------------------- //
@@ -527,6 +561,29 @@ TEST(Batcher, CompatibilityRules)
     b.sizeBucket = 1;
     b.networkId = 4; // different network
     EXPECT_FALSE(batcher.compatible(a, b));
+}
+
+TEST(Batcher, ConstructorRejectsEachInvalidRule)
+{
+    // Bad configs are the caller's error: they throw, never exit.
+    BatcherConfig bcfg;
+    EXPECT_NO_THROW(Batcher(bcfg, {1.0}));
+
+    BatcherConfig noBatch = bcfg;
+    noBatch.maxBatchSize = 0;
+    EXPECT_THROW(Batcher(noBatch, {1.0}), std::invalid_argument);
+
+    BatcherConfig ratio = bcfg;
+    ratio.maxPointsRatio = 0.5;
+    EXPECT_THROW(Batcher(ratio, {1.0}), std::invalid_argument);
+    ratio.maxPointsRatio = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(Batcher(ratio, {1.0}), std::invalid_argument);
+
+    BatcherConfig noK = bcfg;
+    noK.targetK = 0;
+    EXPECT_THROW(Batcher(noK, {1.0}), std::invalid_argument);
+
+    EXPECT_THROW(Batcher(bcfg, {}), std::invalid_argument);
 }
 
 TEST(Batcher, FormRespectsMaxSizeAndDisabledMode)
@@ -765,6 +822,22 @@ TEST(FleetScheduler, ConstructorRejectsBadFaultPrograms)
     EXPECT_THROW(
         FleetScheduler({pointAccConfig()}, model, {1.0}, cfg2),
         std::invalid_argument);
+}
+
+TEST(FleetScheduler, ConstructorRejectsBadBatcherConfig)
+{
+    // A bad batcher config throws at construction instead of exiting
+    // the process when run() builds its Batcher; batching being off
+    // does not exempt it.
+    const FixedServiceModel model(10'000);
+    SchedulerConfig cfg;
+    cfg.batcher.enabled = false;
+    cfg.batcher.targetK = 0;
+    EXPECT_THROW(FleetScheduler({pointAccConfig()}, model, {1.0}, cfg),
+                 std::invalid_argument);
+    EXPECT_THROW(FleetScheduler({pointAccConfig()}, model, {},
+                                SchedulerConfig{}),
+                 std::invalid_argument);
 }
 
 TEST(FleetScheduler, ConservationUnderOverload)

@@ -1175,6 +1175,12 @@ TEST(RuntimeEquivalence, StreamingGeneratorMatchesSeedDrawForDraw)
     }
 }
 
+bool
+sameNetwork(const Request &x, const Request &y)
+{
+    return x.networkId == y.networkId;
+}
+
 TEST(RuntimeEquivalence, IndexedQueueMatchesLinearQueuePopForPop)
 {
     // Fuzz the queue pair through mixed operation sequences designed
@@ -1223,29 +1229,133 @@ TEST(RuntimeEquivalence, IndexedQueueMatchesLinearQueuePopForPop)
                     ASSERT_TRUE(sameRequest(*a, *b));
             } else {
                 const auto policy = somePolicy();
-                const auto compatible = [](const Request &x,
-                                           const Request &y) {
-                    return x.networkId == y.networkId;
-                };
                 const auto excluded = [&](const Request &r) {
                     return r.sizeBucket == 1 && r.id % 2 == 0;
                 };
                 const Request head = linear.peek(policy);
                 const std::size_t maxCount = 1 + rng.range(4);
-                const auto a = indexed.popLedBy(head, policy, compatible,
-                                                maxCount, excluded);
-                const auto b = linear.popLedBy(head, policy, compatible,
-                                               maxCount, excluded);
+                // Both buckets allowed: the class walk must select
+                // exactly the seed's same-network scan.
+                const auto a = indexed.popLedByBuckets(
+                    head, policy, {0u, 1u}, nullptr, maxCount, excluded);
+                const auto b = linear.popLedBy(head, policy,
+                                               sameNetwork, maxCount,
+                                               excluded);
                 ASSERT_EQ(a.size(), b.size());
                 for (std::size_t i = 0; i < a.size(); ++i)
                     ASSERT_TRUE(sameRequest(a[i], b[i]))
-                        << "popLedBy diverged, seed " << seed << " op "
+                        << "batch diverged, seed " << seed << " op "
                         << op << " index " << i;
             }
             ASSERT_EQ(indexed.size(), linear.size());
             ASSERT_EQ(indexed.admitted(), linear.admitted());
             ASSERT_EQ(indexed.dropped(), linear.dropped());
         }
+    }
+}
+
+TEST(RuntimeEquivalence, DeepFifoQueueMatchesLinearQueuePopForPop)
+{
+    // The serving path's FIFO shape, which the tie-heavy fuzz above
+    // rarely reaches: nondecreasing arrivals (so every push takes the
+    // ring-append path), a queue hundreds deep and at its bound, and
+    // 8-wide batch formation mixed with pops and excluded peeks. In
+    // alternate 1,500-op phases the oldest request is pinned the way a
+    // wait-for-K held leader is (excluded from heads and batches,
+    // never popped), so dead entries pile up behind a live ring front
+    // until the global and class rings compact.
+    const std::uint64_t kNone = ~0ULL;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        Rng rng(seed * 0x9e3779b97f4a7c15ULL);
+        const std::size_t depth = 768;
+        AdmissionQueue indexed(depth);
+        LinearRequestQueue linear(depth);
+        std::uint64_t nextId = 0;
+        std::uint64_t clock = 0;
+        std::uint64_t pinned = kNone;
+        std::size_t deepest = 0;
+        const auto held = [&](const Request &r) { return r.id == pinned; };
+        const auto heldOrFifth = [&](const Request &r) {
+            return held(r) || r.id % 5 == 0;
+        };
+
+        for (int op = 0; op < 6'000; ++op) {
+            if (op % 1'500 == 0)
+                pinned = (op / 1'500) % 2 == 1
+                             ? linear.peek(QueuePolicy::Fifo).id
+                             : kNone;
+            // Arrivals come in bursts of 1-8 that outpace removals, so
+            // the queue fills to its bound and hovers there, dropping.
+            const std::uint64_t kind = op < 200 ? 0 : rng.range(10);
+            if (kind < 5 || linear.size() < 2) {
+                const std::uint64_t burst = 1 + rng.range(8);
+                for (std::uint64_t i = 0; i < burst; ++i) {
+                    Request r;
+                    r.id = nextId++;
+                    clock += rng.range(3); // ties, never backwards
+                    r.arrivalCycle = clock;
+                    r.networkId =
+                        static_cast<std::uint32_t>(rng.range(3));
+                    r.sizeBucket =
+                        static_cast<std::uint32_t>(rng.range(2));
+                    ASSERT_EQ(indexed.push(r), linear.push(r));
+                }
+            } else if (kind == 5 && pinned == kNone) {
+                ASSERT_TRUE(sameRequest(indexed.pop(QueuePolicy::Fifo),
+                                        linear.pop(QueuePolicy::Fifo)))
+                    << "pop diverged, seed " << seed << " op " << op;
+            } else if (kind <= 6) {
+                const Request *a =
+                    indexed.peekEligible(QueuePolicy::Fifo, heldOrFifth);
+                const Request *b =
+                    linear.peekEligible(QueuePolicy::Fifo, heldOrFifth);
+                ASSERT_EQ(a == nullptr, b == nullptr);
+                if (a != nullptr)
+                    ASSERT_TRUE(sameRequest(*a, *b));
+            } else {
+                // The scheduler's formation: head = first request
+                // outside the held group, over either bucket set the
+                // batcher can produce (both buckets, or the head's own).
+                const Request *a =
+                    indexed.peekEligible(QueuePolicy::Fifo, held);
+                const Request *b =
+                    linear.peekEligible(QueuePolicy::Fifo, held);
+                ASSERT_TRUE(a != nullptr && b != nullptr);
+                ASSERT_TRUE(sameRequest(*a, *b));
+                const Request head = *b;
+                const std::size_t maxCount = 1 + rng.range(8);
+                const bool both = rng.range(2) == 0;
+                const std::vector<std::uint32_t> buckets =
+                    both ? std::vector<std::uint32_t>{0u, 1u}
+                         : std::vector<std::uint32_t>{head.sizeBucket};
+                const auto sameClass = [&](const Request &x,
+                                           const Request &y) {
+                    return sameNetwork(x, y) &&
+                           (both || x.sizeBucket == y.sizeBucket);
+                };
+                const std::function<bool(const Request &)> skip =
+                    rng.range(4) == 0
+                        ? std::function<bool(const Request &)>(heldOrFifth)
+                        : std::function<bool(const Request &)>(held);
+                const auto got = indexed.popLedByBuckets(
+                    head, QueuePolicy::Fifo, buckets, nullptr, maxCount,
+                    skip);
+                const auto want = linear.popLedBy(
+                    head, QueuePolicy::Fifo, sameClass, maxCount, skip);
+                ASSERT_EQ(got.size(), want.size())
+                    << "seed " << seed << " op " << op;
+                for (std::size_t i = 0; i < got.size(); ++i)
+                    ASSERT_TRUE(sameRequest(got[i], want[i]))
+                        << "batch diverged, seed " << seed << " op "
+                        << op << " index " << i;
+            }
+            ASSERT_EQ(indexed.size(), linear.size());
+            ASSERT_EQ(indexed.admitted(), linear.admitted());
+            ASSERT_EQ(indexed.dropped(), linear.dropped());
+            deepest = std::max(deepest, indexed.size());
+        }
+        EXPECT_EQ(deepest, depth);
+        EXPECT_GT(indexed.dropped(), 0u);
     }
 }
 
