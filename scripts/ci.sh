@@ -2,8 +2,9 @@
 # CI entry point: configure + build + test, with warnings-as-errors on
 # the serving-runtime subsystem (src/runtime/ is new code held to a
 # stricter bar than the seed sources), the Release-only scale tier and
-# simulator-performance floor gate (bench_simperf), a one-run
-# serve-steady smoke of the repository benchmark (perfbench), the capacity-
+# simulator-performance floor gate (bench_simperf), one-run
+# serve-steady and serve-overload smokes of the repository benchmark
+# (perfbench), the capacity-
 # planner gate (bench_serving --sweep plan: planner pick must equal
 # exhaustive search with strictly fewer probes), the heterogeneous
 # lattice gate (bench_serving --sweep hetero: watt-budgeted server +
@@ -102,6 +103,21 @@ python3 perfbench/run.py --workload serve-steady --seed 0 --seconds 1 \
 import json, sys
 result = json.loads(sys.stdin.read())
 print("perfbench serve-steady correct:", result["correct"])
+sys.exit(0 if result["correct"] is True else 1)'
+
+# Repository-benchmark smoke of the FIFO overload path: one
+# serve-overload run (10^6 Poisson requests at 2.5x capacity, the
+# queue held 4096 deep) must report "correct": true; besides the
+# digest, conservation and repeat checks, its 10^5-request prefix must
+# serve byte-identically to the frozen reference engine
+# (runServingReference), which pins the admission queue's class-ring
+# pruning and batch formation.
+echo "== perfbench serve-overload smoke =="
+python3 perfbench/run.py --workload serve-overload --seed 0 --seconds 1 \
+    --trace 0 | tail -n 1 | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+print("perfbench serve-overload correct:", result["correct"])
 sys.exit(0 if result["correct"] is True else 1)'
 
 # Capacity-planner gate: on a quick grid the planner's pick must equal
