@@ -48,7 +48,11 @@ AutoscalerPolicy::decide(std::uint64_t now, std::uint64_t queue_depth,
     if (everActed && asCfg.cooldownCycles > 0 &&
         now < lastActionAt + asCfg.cooldownCycles)
         return 0;
+    // A crash can power capacity off below the floor; restoring it is
+    // pressure too, or a short queue on a fleet with nothing powered
+    // would wait forever for a signal that never comes.
     const bool pressure =
+        provisioned < asCfg.minInstances ||
         queue_depth >= asCfg.queueHighDepth ||
         (asCfg.p99HighCycles > 0 && window_p99 > asCfg.p99HighCycles);
     int action = 0;

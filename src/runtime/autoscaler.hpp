@@ -109,7 +109,9 @@ class AutoscalerPolicy
      *  queue depth, window_p99 the p99 latency (cycles) of completions
      *  since the previous evaluation (0 when none completed),
      *  provisioned the count of instances currently powered and not
-     *  draining. Returns the clamped decision. */
+     *  draining. Provisioned capacity below the floor (a crash
+     *  powered it off) counts as pressure. Returns the clamped
+     *  decision. */
     int decide(std::uint64_t now, std::uint64_t queue_depth,
                std::uint64_t window_p99, std::uint32_t provisioned);
 

@@ -1311,6 +1311,13 @@ FleetScheduler::run(RequestSource &source) const
         return false;
     };
 
+    const auto canServeAgain = [&](std::uint64_t now) {
+        for (const auto &a : accels)
+            if (!a.crashed)
+                return true;
+        return !faultEvents.empty() && faultEvents.back().atNs >= now;
+    };
+
     // One autoscaler policy evaluation at `now`: read the windowed
     // signals, decide, apply. Scale-up prefers resurrecting a draining
     // instance (still powered, nothing was torn down — instantly
@@ -1432,8 +1439,12 @@ FleetScheduler::run(RequestSource &source) const
             return true;
           case Event::Kind::ScaleEval:
             // The recurring evaluation dies with the work: a drained,
-            // idle simulation must terminate, not tick forever.
-            return asEnabled && e.stamp == evalGen && hasWork();
+            // idle simulation must terminate, not tick forever. So does
+            // one whose whole fleet is down for good (every instance
+            // crashed, no fault event left to recover one): like a
+            // static fleet, it strands its backlog.
+            return asEnabled && e.stamp == evalGen && hasWork() &&
+                   canServeAgain(e.at);
           case Event::Kind::SpinUp: {
             const AccelState &a = accels[e.accel];
             return a.life == Life::SpinningUp &&

@@ -2323,6 +2323,9 @@ TEST(Autoscaler, PolicyDecidesFromWindowedSignals)
     EXPECT_EQ(policy.decide(700'000, 1, 0, 2), -1);
     // ...but never through the floor.
     EXPECT_EQ(policy.decide(900'000, 0, 0, 1), 0);
+    // A crash that left capacity below the floor scales back up, even
+    // on a quiet queue.
+    EXPECT_EQ(policy.decide(1'100'000, 0, 0, 0), 1);
 }
 
 TEST(Autoscaler, SpinUpDelayAndGracefulDrainOracle)
@@ -2380,6 +2383,59 @@ TEST(Autoscaler, SpinUpDelayAndGracefulDrainOracle)
     // The saving the traffic gate reports: static 2-instance cost
     // would be 430'000 instance-cycles.
     EXPECT_LT(as.instanceCycles, 2 * report.horizonCycles);
+}
+
+TEST(Autoscaler, CrashBelowTheFloorIsRestored)
+{
+    // The only instance crashes at 500 (r0 dies, no retry) and
+    // recovers at 700 as an Off pool candidate. r1, queued at 600, is
+    // far below the queue trigger and no completion feeds the p99
+    // window, so only the floor can bring the instance back: the
+    // evaluation at 10'000 powers it (no spin-up) and r1 completes at
+    // 11'000. Without the floor rule the run never ends.
+    const PhasedServiceModel model({{100, 900}});
+    SchedulerConfig scfg;
+    scfg.faults.enabled = true;
+    scfg.faults.crashes.push_back(CrashWindow{0, 500, 200});
+    scfg.autoscaler.enabled = true;
+    scfg.autoscaler.minInstances = 1;
+    scfg.autoscaler.evalIntervalCycles = 10'000;
+    scfg.autoscaler.queueHighDepth = 8;
+    scfg.autoscaler.queueLowDepth = 0;
+    FleetScheduler sched({pointAccConfig()}, model, {1.0}, scfg);
+    const auto report =
+        sched.run({makeRequest(0, 0), makeRequest(1, 600)});
+
+    EXPECT_EQ(report.failed, 1u);
+    EXPECT_EQ(report.completed, 1u);
+    EXPECT_EQ(report.horizonCycles, 11'000u);
+    EXPECT_EQ(report.autoscaler.scaleUps, 1u);
+    EXPECT_EQ(report.autoscaler.finalProvisioned, 1u);
+}
+
+TEST(Autoscaler, FleetDownForGoodStrandsItsBacklog)
+{
+    // A crash with no recovery takes the whole (one-instance) fleet
+    // down for good. Like a static fleet, the autoscaled run ends and
+    // strands the queued request instead of evaluating forever.
+    const PhasedServiceModel model({{100, 900}});
+    SchedulerConfig scfg;
+    scfg.faults.enabled = true;
+    scfg.faults.crashes.push_back(CrashWindow{0, 500, 0});
+    scfg.autoscaler.enabled = true;
+    scfg.autoscaler.minInstances = 1;
+    scfg.autoscaler.evalIntervalCycles = 10'000;
+    scfg.autoscaler.queueHighDepth = 8;
+    scfg.autoscaler.queueLowDepth = 0;
+    FleetScheduler sched({pointAccConfig()}, model, {1.0}, scfg);
+    const auto report =
+        sched.run({makeRequest(0, 0), makeRequest(1, 600)});
+
+    EXPECT_EQ(report.failed, 1u);
+    EXPECT_EQ(report.completed, 0u);
+    EXPECT_EQ(report.leftoverQueued, 1u);
+    EXPECT_EQ(report.horizonCycles, 600u);
+    EXPECT_EQ(report.autoscaler.evals, 0u);
 }
 
 TEST(Autoscaler, WaitForKBatcherSurvivesScaling)
