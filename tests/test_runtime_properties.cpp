@@ -968,6 +968,142 @@ TEST(RuntimeEquivalence, InertRunAheadDefaultsMatchSeedEngine)
     });
 }
 
+/** FNV-1a over a report's serving JSON and its completion stream. */
+std::uint64_t
+reportDigest(const ServingReport &report)
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    const auto mixByte = [&h](std::uint8_t b) {
+        h ^= b;
+        h *= 1099511628211ULL;
+    };
+    for (const char c : servingJsonOf(report))
+        mixByte(static_cast<std::uint8_t>(c));
+    for (const std::uint64_t t : report.completionCycles)
+        for (int i = 0; i < 8; ++i)
+            mixByte(static_cast<std::uint8_t>(t >> (8 * i)));
+    return h;
+}
+
+TEST(RuntimeEquivalence, FeatureMatrixDigestsAreFrozen)
+{
+    // The reference engine cannot check faults, retries, hedges, the
+    // autoscaler, run-ahead > 1 or cost-aware holds: it predates them.
+    // Pin their bytes instead. Seed i runs the factorial cell
+    // (faults, autoscaler, costAware, runAheadDepth) =
+    // (i%2, i/2%2, i/4%2, {1,2,4}[i/8%3]) over a fuzzed workload,
+    // fleet and config, and its serving JSON plus completion stream
+    // must hash to the frozen table below. A restructuring of the
+    // scheduler that keeps every output must keep this table as is.
+    static const std::uint64_t kFrozen[] = {
+        0xf0637f6d0b47add1ULL,
+        0x521b8218b8a58a86ULL,
+        0x126c071dd88fbf5cULL,
+        0xb685a843f9e6f488ULL,
+        0xd2673b43404a9850ULL,
+        0xac0e6ab7ccca5bd2ULL,
+        0x2d54134910af0ff4ULL,
+        0xa73299ff313498feULL,
+        0x71faa68166b47943ULL,
+        0x32d632d7c4e37ceULL,
+        0x8f0bf361b1c387d8ULL,
+        0xc0dc6f7ca39d4f9dULL,
+        0x966f73c76215e7e9ULL,
+        0x1d6e5b5178b71289ULL,
+        0x9375ee73c819b880ULL,
+        0x8e1286b1dde18b67ULL,
+        0x2050430ac6925848ULL,
+        0xb89bedce8dc0a29aULL,
+        0xb7776b9f35fa7d52ULL,
+        0xb18571d0319242afULL,
+        0x40663ce4e36bf007ULL,
+        0x7784ca0483da4e8dULL,
+        0x3b4eb2dcd2a6ce78ULL,
+        0x9127deb6cf26663dULL,
+        0xa9d7705fc70451d7ULL,
+        0xbb60d7776885523ULL,
+        0x70653f6100da997bULL,
+        0xccaca93ca7960755ULL,
+        0x3fdf7aff61403633ULL,
+        0x3b7d801c1dfcf39eULL,
+        0xd89d723c14d3fd95ULL,
+        0x2c788f6e1098420ULL,
+        0xf441eff3276ba805ULL,
+        0x6f30dc2dbdfb25ebULL,
+        0xa1e3cd89d9b55c10ULL,
+        0xb5b9726c92a6050bULL,
+        0x5476dd896d067c0dULL,
+        0x706ee3edbb49093aULL,
+        0x6bbecdfd5907e169ULL,
+        0xfc805cd230788cc4ULL,
+        0x5a2d0e40499ade13ULL,
+        0x25c81ca7adc3d1cdULL,
+        0x40677c406a777e4fULL,
+        0xce0dc23762ec285eULL,
+        0x956077436c4fb41ULL,
+        0xfa3c25fb6b85b27ULL,
+        0xd89490aa3202e399ULL,
+        0xc9eeca38b52ee685ULL,
+    };
+    constexpr std::uint64_t kSeeds = 48;
+    std::vector<std::uint64_t> digests(kSeeds);
+    forEachSeed(0, kSeeds, [&digests](std::uint64_t i) {
+        const std::uint64_t seed = 5000 + i;
+        Rng rng(seed * 0x9e3779b9ULL);
+        const RandomPhasedServiceModel model(seed);
+        TrafficProgram program;
+        program.base = randomSpec(rng, seed);
+        program.phases = {
+            {program.base.horizonCycles / 4,
+             rng.uniform(2.0, 5.0) * program.base.requestsPerMCycle},
+            {program.base.horizonCycles / 2,
+             program.base.requestsPerMCycle}};
+        auto scfg = randomConfig(rng);
+        const auto fleet = randomFleet(rng);
+        if (i % 2 == 1) {
+            scfg.faults = randomFaultProgram(
+                rng, program.base.horizonCycles, fleet.size());
+            scfg.retry = randomRetryPolicy(rng);
+        }
+        if (i / 2 % 2 == 1) {
+            scfg.autoscaler.enabled = true;
+            scfg.autoscaler.minInstances = 1;
+            scfg.autoscaler.initialInstances =
+                1 + static_cast<std::uint32_t>(rng.range(fleet.size()));
+            scfg.autoscaler.evalIntervalCycles =
+                20'000 + rng.range(150'000);
+            scfg.autoscaler.queueHighDepth = 4 + rng.range(28);
+            scfg.autoscaler.queueLowDepth = rng.range(4);
+            scfg.autoscaler.p99HighCycles =
+                rng.range(2) == 0 ? 100'000 + rng.range(400'000) : 0;
+            scfg.autoscaler.spinUpCycles = rng.range(80'000);
+            scfg.autoscaler.cooldownCycles = rng.range(150'000);
+        }
+        if (i / 4 % 2 == 1) {
+            scfg.batcher.enabled = true;
+            scfg.batcher.costAware = true;
+            scfg.batcher.targetK =
+                2 + static_cast<std::uint32_t>(rng.range(3));
+        }
+        static const std::uint32_t kDepths[] = {1, 2, 4};
+        scfg.runAheadDepth = kDepths[i / 8 % 3];
+
+        FleetScheduler sched(fleet, model, {1.0, 2.0}, scfg);
+        digests[i] = reportDigest(sched.run(materialize(program)));
+    });
+
+    std::ostringstream table;
+    for (const std::uint64_t d : digests)
+        table << "        0x" << std::hex << d << "ULL,\n";
+    ASSERT_EQ(std::size(kFrozen), kSeeds) << "frozen table:\n"
+                                          << table.str();
+    for (std::uint64_t i = 0; i < kSeeds; ++i)
+        EXPECT_EQ(digests[i], kFrozen[i])
+            << "feature-matrix seed " << 5000 + i
+            << " changed its bytes; computed table:\n"
+            << table.str();
+}
+
 TEST(RuntimeProperties, RunAheadDepthsHoldInvariants)
 {
     // Depths 2..4 across the fuzz space: conservation, utilization
