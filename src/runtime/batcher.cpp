@@ -189,14 +189,6 @@ Batcher::costAwareHold(
     return decision;
 }
 
-BatchHold
-Batcher::holdFor(const AdmissionQueue &queue, QueuePolicy policy,
-                 std::uint64_t now) const
-{
-    simAssert(!queue.empty(), "holdFor needs a non-empty queue");
-    return holdForHead(queue, queue.peek(policy), now);
-}
-
 Batch
 Batcher::form(AdmissionQueue &queue, QueuePolicy policy) const
 {

@@ -220,10 +220,6 @@ class Batcher
                             const std::function<bool(const Request &)>
                                 &excluded = nullptr) const;
 
-    /** holdForHead anchored at the queue's policy head (non-empty). */
-    BatchHold holdFor(const AdmissionQueue &queue, QueuePolicy policy,
-                      std::uint64_t now) const;
-
     /**
      * Form the next batch from `queue` under `policy`. The queue must
      * be non-empty. With batching disabled, returns a singleton batch.

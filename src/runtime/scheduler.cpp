@@ -4,11 +4,14 @@
 #include <cmath>
 #include <cstddef>
 #include <deque>
+#include <functional>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <queue>
+#include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -137,12 +140,15 @@ SimServiceModel::SimServiceModel(ServingCatalog catalog)
     : cat(std::move(catalog))
 {
     if (cat.networks.empty())
-        fatal("serving catalog needs at least one network");
+        throw std::invalid_argument(
+            "serving catalog needs at least one network");
     if (cat.bucketScales.empty())
-        fatal("serving catalog needs at least one size bucket");
+        throw std::invalid_argument(
+            "serving catalog needs at least one size bucket");
     for (const double s : cat.bucketScales)
         if (s <= 0.0)
-            fatal("size bucket scales must be positive");
+            throw std::invalid_argument(
+                "size bucket scales must be positive");
 }
 
 const PointCloud &
@@ -260,7 +266,7 @@ FleetScheduler::FleetScheduler(std::vector<AcceleratorConfig> fleet_,
       bucketScales(std::move(bucket_scales)), cfg(config)
 {
     if (fleet.empty())
-        fatal("fleet needs at least one accelerator");
+        throw std::invalid_argument("fleet needs at least one accelerator");
     // Resolve the autoscaler config against the concrete fleet now so
     // a bad policy (floor above ceiling, ceiling above the fleet)
     // fails at construction, not mid-simulation.
@@ -277,13 +283,15 @@ FleetScheduler::FleetScheduler(std::vector<AcceleratorConfig> fleet_,
     validateRetryPolicy(cfg.retry);
     validateBatcherConfig(cfg.batcher, bucketScales);
     if (cfg.runAheadDepth < 1)
-        fatal("runAheadDepth must be >= 1 (1 is the blocking handoff)");
+        throw std::invalid_argument(
+            "runAheadDepth must be >= 1 (1 is the blocking handoff)");
     for (const auto &acc : fleet) {
         // Frequencies may differ across members (each instance's
         // profiled cycles convert to the ns event axis at dispatch),
         // but every frequency must be a real clock.
         if (!(acc.freqGHz > 0.0))
-            fatal("fleet members need a positive clock frequency");
+            throw std::invalid_argument(
+                "fleet members need a positive clock frequency");
         // Service profiles and converted phase splits are memoized per
         // config *name*; two members sharing a name but differing in
         // the fields that drive cost (frequency included) would
@@ -303,9 +311,10 @@ FleetScheduler::FleetScheduler(std::vector<AcceleratorConfig> fleet_,
                 acc.dram.name == other.dram.name &&
                 acc.dram.bandwidthGBps == other.dram.bandwidthGBps;
             if (!same)
-                fatal("fleet members named '" + acc.name +
-                      "' have different configurations; give them "
-                      "distinct names");
+                throw std::invalid_argument(
+                    "fleet members named '" + acc.name +
+                    "' have different configurations; give them "
+                    "distinct names");
         }
     }
 }
@@ -331,6 +340,13 @@ constexpr std::uint32_t kNoInstance =
  *  dense from 0 and never reach the bit. */
 constexpr std::uint64_t kHedgeIdBit = 1ULL << 63;
 
+/** The id of record: a hedged duplicate's original id. */
+std::uint64_t
+origId(const Request &r)
+{
+    return r.hedge ? (r.id & ~kHedgeIdBit) : r.id;
+}
+
 /** One dispatch resident on an instance, in either pipeline stage. */
 struct InFlight
 {
@@ -338,13 +354,21 @@ struct InFlight
     PhaseProfile phases;
     std::uint64_t dispatchedAt = 0;
     std::uint64_t mapDoneAt = 0; ///< front-end (mapping) completion
-    std::uint64_t doneAt = 0;    ///< back-end completion (set at handoff)
+    /** Back-end completion: set when the back-end starts, 0 before. */
+    std::uint64_t doneAt = 0;
     /** Front-end done; waiting for the back-end to free (blocking
      *  handoff: the mapped batch keeps occupying the front stage). */
     bool mapped = false;
     /** Map-cache entries this (miss) dispatch publishes when its
      *  mapping phase completes — maps exist only once mapped. */
     std::vector<std::pair<MapCacheKey, MapCacheEntry>> inserts;
+
+    void
+    publish(MapCache &cache) const
+    {
+        for (const auto &ins : inserts)
+            cache.insert(ins.first, ins.second);
+    }
 };
 
 /** Autoscaler lifecycle of one instance. Without the autoscaler every
@@ -358,71 +382,11 @@ enum class Life : std::uint8_t
 };
 
 /**
- * One accelerator as a two-stage pipeline: the front slot is the
- * Mapping Unit (a batch occupies it from dispatch until the back-end
- * accepts it), the back slot is the Matrix Unit + memory system. The
- * monolithic occupancy model uses the same machinery with a
- * zero-length map phase and admission gated on full idleness.
- *
- * frontStamp/backStamp are lazy-invalidation generations for the
- * global event heap: each (re)fill of a slot bumps its stamp, so a
- * heap entry for a slot that has since emptied or been refilled is
- * recognized as stale when popped and discarded. lifeStamp plays the
- * same role for SpinUp events (a scale-down that cancels a pending
- * spin-up orphans its event).
- */
-struct AccelState
-{
-    std::optional<InFlight> front;
-    /** Run-ahead staging FIFO (capacity runAheadDepth - 1): mapped
-     *  batches the front-end finished while the back-end was still
-     *  busy, queued in mapping-completion order for promotion as the
-     *  back-end drains. Empty forever at the default depth 1, where
-     *  the handoff blocks exactly as the frozen reference engine's
-     *  does. Staged batches hold no pending heap events (their
-     *  MapDone fired before parking; their RunDone is pushed at
-     *  promotion), so no stamp guards them. */
-    std::deque<InFlight> staged;
-    std::optional<InFlight> back;
-    std::uint64_t frontStamp = 0;
-    std::uint64_t backStamp = 0;
-    /** High-water mark for busy-interval union accounting: per-batch
-     *  residency intervals overlap under pipelining, and utilization
-     *  must count wall-clock coverage, not summed service. */
-    std::uint64_t coveredUntil = 0;
-    AcceleratorUsage usage;
-    Life life = Life::Active;
-    std::uint64_t lifeStamp = 0;
-    /** Crashed by the fault program: accepts nothing until the
-     *  matching Recover event. Independent of Life — a crash is a
-     *  failure, not an autoscaler decision (though with the
-     *  autoscaler on, a crash also powers the instance off so the
-     *  policy sees the capacity loss and replaces it). */
-    bool crashed = false;
-    /** Straggler service-time stretch for new dispatches; exactly 1.0
-     *  outside windows, so fault-free pricing skips the float round
-     *  trip (the byte-identity gates rely on the == test). */
-    double slowdown = 1.0;
-
-    bool
-    canAccept(OccupancyModel model) const
-    {
-        if (crashed)
-            return false;
-        if (life != Life::Active)
-            return false;
-        return model == OccupancyModel::Pipelined
-                   ? !front.has_value()
-                   : !front.has_value() && !back.has_value();
-    }
-};
-
-/**
  * Global event-heap entry. The discrete-event core replaced the seed
  * loop's per-iteration rescan of every instance with one binary
- * min-heap over four event kinds; entries are sequence-numbered (push
- * order) so heap ordering is total, and carry the stamp of the slot
- * or timer generation they describe for lazy invalidation.
+ * min-heap; entries are sequence-numbered (push order) so heap
+ * ordering is total, and carry the stamp of the slot or timer
+ * generation they describe for lazy invalidation.
  */
 struct Event
 {
@@ -445,6 +409,7 @@ struct Event
     std::uint32_t accel = 0;
     std::uint64_t stamp = 0;
 };
+using Kind = Event::Kind;
 
 struct EventLater
 {
@@ -454,6 +419,1140 @@ struct EventLater
         return a.at != b.at ? a.at > b.at : a.seq > b.seq;
     }
 };
+
+struct Run;
+
+/**
+ * The event core: the global heap with its push sequence, the
+ * wait-for-K batch timer, and the stale-entry filter. Each slot or
+ * generation an event can describe carries its own stamp — the
+ * instances' front/back/life stamps, timerGen here, Scaler::evalGen —
+ * and valid() compares against them all.
+ */
+struct EventCore
+{
+    std::priority_queue<Event, std::vector<Event>, EventLater> heap;
+    std::uint64_t seq = 0;
+    /** Earliest pending wait-for-K hold deadline. timerGen stamps the
+     *  currently armed timer event; re-arming or disarming bumps it,
+     *  orphaning any queued timer entry. */
+    std::uint64_t timerAt = kNever;
+    std::uint64_t timerGen = 0;
+    std::uint64_t armedAt = kNever;
+
+    void
+    push(std::uint64_t at, Kind kind, std::uint32_t accel, std::uint64_t stamp)
+    {
+        heap.push(Event{at, ++seq, kind, accel, stamp});
+    }
+
+    void
+    syncTimer()
+    {
+        if (timerAt == armedAt)
+            return;
+        timerGen += 1;
+        armedAt = timerAt;
+        if (timerAt != kNever)
+            push(timerAt, Kind::Timer, 0, timerGen);
+    }
+
+    /** Is `e` still live: does the slot, generation or request it
+     *  describes still exist unchanged? */
+    bool valid(const Event &e, const Run &run) const;
+};
+
+/**
+ * One accelerator as a two-stage pipeline: the front slot is the
+ * Mapping Unit (a batch occupies it from dispatch until the back-end
+ * accepts it), the back slot is the Matrix Unit + memory system. The
+ * monolithic occupancy model uses the same machinery with a
+ * zero-length map phase and admission gated on full idleness.
+ *
+ * frontStamp/backStamp are lazy-invalidation generations for the
+ * global event heap: each (re)fill of a slot bumps its stamp, so a
+ * heap entry for a slot that has since emptied or been refilled is
+ * recognized as stale when popped and discarded. lifeStamp plays the
+ * same role for SpinUp events (a scale-down that cancels a pending
+ * spin-up orphans its event).
+ */
+struct Instance
+{
+    std::uint32_t index = 0;
+    OccupancyModel occupancy = OccupancyModel::Pipelined;
+    /** Staging-FIFO capacity: runAheadDepth - 1 under Pipelined
+     *  occupancy, 0 under Monolithic (which never overlaps stages). */
+    std::size_t stagedCap = 0;
+
+    std::optional<InFlight> front;
+    /** Run-ahead staging FIFO: mapped batches the front-end finished
+     *  while the back-end was still busy, queued in mapping-completion
+     *  order for promotion as the back-end drains. Empty forever at the
+     *  default depth 1, where the handoff blocks exactly as the frozen
+     *  reference engine's does. Staged batches hold no pending heap
+     *  events (their MapDone fired before parking; their RunDone is
+     *  pushed at promotion), so no stamp guards them. */
+    std::deque<InFlight> staged;
+    std::optional<InFlight> back;
+    std::uint64_t frontStamp = 0;
+    std::uint64_t backStamp = 0;
+    /** High-water mark for busy-interval union accounting: per-batch
+     *  residency intervals overlap under pipelining, and utilization
+     *  must count wall-clock coverage, not summed service. */
+    std::uint64_t coveredUntil = 0;
+    AcceleratorUsage usage;
+    /** Batches ever parked in the staging FIFO, and its peak depth. */
+    std::uint64_t stagedTotal = 0;
+    std::uint64_t stagedPeak = 0;
+    Life life = Life::Active;
+    std::uint64_t lifeStamp = 0;
+    /** Crashed by the fault program: accepts nothing until the
+     *  matching Recover event. Independent of Life — a crash is a
+     *  failure, not an autoscaler decision (though with the
+     *  autoscaler on, a crash also powers the instance off so the
+     *  policy sees the capacity loss and replaces it). */
+    bool crashed = false;
+    /** Straggler service-time stretch for new dispatches; exactly 1.0
+     *  outside windows, so fault-free pricing skips the float round
+     *  trip (the byte-identity gates rely on the == test). */
+    double slowdown = 1.0;
+
+    bool idle() const { return !front && staged.empty() && !back; }
+
+    bool
+    canAccept() const
+    {
+        return !crashed && life == Life::Active && !front &&
+               (occupancy == OccupancyModel::Pipelined || !back);
+    }
+
+    /** Committed back-end work at `now`: the running batch's remainder
+     *  plus every staged run-ahead batch (the FIFO serves strictly
+     *  before a new dispatch can). */
+    std::uint64_t
+    backlog(std::uint64_t now) const
+    {
+        std::uint64_t b = back && back->doneAt > now ? back->doneAt - now : 0;
+        for (const auto &s : staged)
+            b += s.phases.backendCycles;
+        return b;
+    }
+
+    /** Exact completion time of `ph` were it dispatched here now:
+     *  mapping starts at once (the front slot is free by
+     *  precondition), the back-end at the later of mapping completion
+     *  and the backlog draining. */
+    std::uint64_t
+    estimateDone(const PhaseProfile &ph, std::uint64_t now) const
+    {
+        return now + std::max(ph.mapCycles, backlog(now)) + ph.backendCycles;
+    }
+
+    /** Close `u`'s residency at `end` into the busy-interval union.
+     *  Intervals arrive in nondecreasing start order (the pipeline is
+     *  FIFO per instance), so a running high-water mark suffices. */
+    void
+    closeResidency(const InFlight &u, std::uint64_t end)
+    {
+        const std::uint64_t start = std::max(u.dispatchedAt, coveredUntil);
+        if (end > start)
+            usage.busyCycles += end - start;
+        coveredUntil = std::max(coveredUntil, end);
+    }
+
+    /** Start a batch on the empty back-end at `now` — the moment the
+     *  handoff (or staged promotion) became possible is itself an
+     *  event, so `now` is exactly the back-end start. */
+    void
+    startBack(InFlight unit, std::uint64_t now, EventCore &events)
+    {
+        unit.doneAt = now + unit.phases.backendCycles;
+        usage.backendBusyCycles += unit.phases.backendCycles;
+        backStamp += 1;
+        if (unit.doneAt > now)
+            events.push(unit.doneAt, Kind::RunDone, index, backStamp);
+        back.emplace(std::move(unit));
+    }
+
+    /**
+     * Apply the stage transitions due at `now` — back-end completion,
+     * staged run-ahead promotion, then the front->back handoff (which
+     * may itself complete at once when a back-end phase is empty) —
+     * until a back-end batch completes, and return it; call again
+     * until nothing does. Transitions landing strictly in the future
+     * enqueue heap events; same-cycle ones cascade right here, so every
+     * pending transition always has a live heap entry or resolves
+     * synchronously.
+     */
+    std::optional<InFlight>
+    advance(std::uint64_t now, EventCore &events, MapCache &cache)
+    {
+        for (;;) {
+            if (back && back->doneAt <= now) {
+                std::optional<InFlight> done = std::move(back);
+                back.reset();
+                // A monolithic run is one opaque interval with no
+                // mapping-completion moment inside it: a miss's kernel
+                // maps publish only when the whole run ends.
+                if (occupancy == OccupancyModel::Monolithic)
+                    done->publish(cache);
+                closeResidency(*done, done->doneAt);
+                return done;
+            }
+            // Promote from the staging FIFO first: staged batches
+            // finished mapping before anything still in the front
+            // slot, and the back-end serves in dispatch order.
+            if (!back && !staged.empty()) {
+                startBack(std::move(staged.front()), now, events);
+                staged.pop_front();
+                continue;
+            }
+            if (!front || front->mapDoneAt > now)
+                return std::nullopt;
+            // Mapping just finished: a miss dispatch publishes its
+            // kernel maps now — later same-cycle dispatches may
+            // already hit them.
+            if (!front->mapped && occupancy == OccupancyModel::Pipelined)
+                front->publish(cache);
+            front->mapped = true;
+            if (back && staged.size() >= stagedCap)
+                return std::nullopt; // blocked handoff
+            InFlight unit = std::move(*front);
+            front.reset();
+            if (!back) {
+                // The staged FIFO is empty here (promotion above ran
+                // first): direct handoff, the depth-1 path.
+                startBack(std::move(unit), now, events);
+                continue;
+            }
+            // Run ahead: park the mapped batch and free the front slot
+            // — the Mapping Unit may accept the next dispatch while
+            // the back-end works through its backlog.
+            staged.push_back(std::move(unit));
+            stagedTotal += 1;
+            stagedPeak = std::max<std::uint64_t>(stagedPeak, staged.size());
+        }
+    }
+
+    /**
+     * Crash teardown: every resident batch dies, returned in dispatch
+     * order (back, staged FIFO, front). Each gives back its un-run
+     * stage time, so per-stage busy never exceeds the horizon: the
+     * running back-end its remainder, an unmapped front its mapping
+     * remainder. A staged batch, or a mapped front blocked on the
+     * handoff, ran all its mapping and never started the back-end, so
+     * it gives back nothing. Every residency closes at the crash
+     * instant, and the slot stamps orphan pending MapDone/RunDone
+     * entries.
+     */
+    std::vector<InFlight>
+    crash(std::uint64_t now)
+    {
+        std::vector<InFlight> dead;
+        const auto evict = [&dead](std::optional<InFlight> &slot,
+                                   std::uint64_t &stamp) {
+            if (!slot)
+                return;
+            dead.push_back(std::move(*slot));
+            slot.reset();
+            stamp += 1;
+        };
+        evict(back, backStamp);
+        std::move(staged.begin(), staged.end(), std::back_inserter(dead));
+        staged.clear();
+        evict(front, frontStamp);
+        for (const InFlight &u : dead) {
+            if (u.doneAt > now) // only a started back-end has a doneAt
+                usage.backendBusyCycles -= u.doneAt - now;
+            if (!u.mapped && u.mapDoneAt > now)
+                usage.mapBusyCycles -= u.mapDoneAt - now;
+            closeResidency(u, now);
+        }
+        return dead;
+    }
+};
+
+/**
+ * Fault bookkeeping (runtime/faults): the materialized fault timeline,
+ * per-request fault state, the retry and hedge slots, and the
+ * counters. Inactive (the default, or an enabled program that
+ * materializes no events with retries off): nothing enters the heap,
+ * no per-request state is consulted, and the run stays byte-identical
+ * to a fault-free build — the --sweep faults gate pins that against
+ * the frozen reference engine.
+ */
+struct FaultBook
+{
+    /** Per-request fault state, created lazily for crash victims and
+     *  hedged requests only, keyed by the id of record: `done` marks
+     *  the winning completion so a losing copy can never complete a
+     *  request twice, `failed` the terminal failure, `crashedOn` the
+     *  instance whose crash last killed it (completing elsewhere is a
+     *  counted failover). */
+    struct ReqState
+    {
+        bool done = false;
+        bool failed = false;
+        bool hedged = false;
+        std::uint32_t crashedOn = kNoInstance;
+    };
+
+    const RetryPolicy &retry;
+    /** Immutable once materialized; Fault event stamps index it. */
+    const std::vector<FaultEvent> timeline;
+    FaultStats stats;
+    std::uint64_t failed = 0; ///< terminal failures
+    std::unordered_map<std::uint64_t, ReqState> rstate;
+    std::vector<Request> retrySlots; // Retry event stamp -> request
+    std::vector<Request> hedgeSlots; // Hedge event stamp -> duplicate
+    std::uint64_t pendingRetries = 0; // scheduled, not yet re-admitted
+    std::uint64_t hedgedInQueue = 0;  // duplicates sitting in admission
+
+    FaultBook(const SchedulerConfig &cfg, std::size_t fleet_size)
+        : retry(cfg.retry),
+          timeline(materializeFaultEvents(cfg.faults, fleet_size))
+    {
+        stats.enabled = !timeline.empty() || retry.enabled;
+    }
+
+    /** Completion filter: does `r` finishing on `inst` complete its
+     *  request of record? The race's loser (or a copy of a request
+     *  already declared failed) records only the wasted hedge. */
+    bool
+    completes(const Request &r, std::uint32_t inst)
+    {
+        if (!stats.enabled)
+            return true;
+        const auto it = rstate.find(origId(r));
+        if (it == rstate.end())
+            return true;
+        ReqState &st = it->second;
+        if (st.done || st.failed) {
+            stats.hedgesLost += r.hedge ? 1 : 0;
+            return false;
+        }
+        st.done = true;
+        stats.hedgesWon += r.hedge ? 1 : 0;
+        if (st.crashedOn != kNoInstance && st.crashedOn != inst)
+            stats.failovers += 1;
+        return true;
+    }
+
+    /** A crash just killed `r` mid-flight on `inst`: route it through
+     *  the retry policy (bounded, exponential backoff priced in ns) or
+     *  record the terminal failure. Hedged duplicates get no second
+     *  chance — the original (or its own retry chain) is still the
+     *  request of record. */
+    void
+    failRequest(const Request &r, std::uint32_t inst, std::uint64_t now,
+                EventCore &events)
+    {
+        if (r.hedge) {
+            stats.hedgesLost += 1;
+            return;
+        }
+        ReqState &st = rstate[r.id];
+        if (st.done)
+            return; // a hedge copy already completed it
+        st.crashedOn = inst;
+        stats.inflightFailed += 1;
+        bool timedOut = false;
+        if (retry.enabled && r.attempt < retry.maxRetries) {
+            const std::uint64_t backoff = retryBackoffNs(retry, r.attempt);
+            // The wait alone may blow the request's budget.
+            timedOut = retry.timeoutNs > 0 &&
+                       now + backoff > r.arrivalCycle + retry.timeoutNs;
+            if (!timedOut) {
+                Request again = r;
+                again.attempt += 1;
+                retrySlots.push_back(again);
+                pendingRetries += 1;
+                stats.retryAttempts += 1;
+                stats.retryBackoffNsTotal += backoff;
+                events.push(now + backoff, Kind::Retry, 0,
+                            retrySlots.size() - 1);
+                return;
+            }
+        }
+        st.failed = true;
+        failed += 1;
+        if (timedOut)
+            stats.retryTimeouts += 1;
+        else if (retry.enabled)
+            stats.retryExhausted += 1;
+    }
+
+    /** Backoff expired: re-admit the victim unless a hedge copy
+     *  finished it meanwhile. Re-admission shed on a full queue is a
+     *  terminal failure, never a second `dropped`. */
+    void
+    fireRetry(std::uint64_t slot, AdmissionQueue &queue)
+    {
+        pendingRetries -= 1;
+        ReqState &st = rstate[retrySlots[slot].id];
+        if (!st.done && !queue.pushUncounted(retrySlots[slot])) {
+            st.failed = true;
+            failed += 1;
+            stats.retryShed += 1;
+        }
+    }
+
+    /** Hedged re-dispatch arms at first dispatch: if the original has
+     *  not completed after the hedge delay, a duplicate re-enters
+     *  admission and races it (tail-latency insurance against a crash
+     *  or straggler eating the original). Copies live in a dedicated
+     *  id range so the queue's unique-id invariant holds, and each
+     *  request is hedged at most once. */
+    void
+    armHedges(const Batch &batch, std::uint64_t now, EventCore &events)
+    {
+        if (!retry.enabled || retry.hedgeDelayNs == 0)
+            return;
+        for (const auto &r : batch.requests) {
+            if (r.hedge)
+                continue;
+            ReqState &st = rstate[r.id];
+            if (st.hedged)
+                continue;
+            st.hedged = true;
+            Request copy = r;
+            copy.id |= kHedgeIdBit;
+            copy.hedge = true;
+            hedgeSlots.push_back(copy);
+            events.push(now + retry.hedgeDelayNs, Kind::Hedge, 0,
+                        hedgeSlots.size() - 1);
+        }
+    }
+
+    /** A hedge is live while its request of record is unresolved. */
+    bool
+    hedgeLive(std::uint64_t slot) const
+    {
+        const auto it = rstate.find(origId(hedgeSlots[slot]));
+        return it != rstate.end() && !it->second.done && !it->second.failed;
+    }
+
+    void
+    fireHedge(std::uint64_t slot, AdmissionQueue &queue)
+    {
+        stats.hedges += 1;
+        if (queue.pushUncounted(hedgeSlots[slot]))
+            hedgedInQueue += 1;
+        else
+            stats.hedgesLost += 1; // shed copy, original lives
+    }
+
+    /** Hedged duplicates leaving admission: leftoverQueued must count
+     *  only requests of record. One batch can carry several copies, so
+     *  the counter saturates per copy. */
+    void
+    noteDispatched(const Batch &batch)
+    {
+        for (const auto &r : batch.requests)
+            if (stats.enabled && r.hedge && hedgedInQueue > 0)
+                hedgedInQueue -= 1;
+    }
+};
+
+/**
+ * Reactive autoscaling (runtime/autoscaler): the policy, its stats,
+ * the powered-instance integral and the latency window. Disabled (the
+ * default): every instance stays Active and none of this runs — the
+ * event stream and report are byte-identical to pre-autoscaler
+ * builds. Enabled: the configured fleet is the *pool*; only instances
+ * the policy has powered serve.
+ */
+struct Scaler
+{
+    const AutoscalerConfig &cfg;
+    AutoscalerPolicy policy;
+    AutoscalerStats stats;
+    std::uint64_t evalGen = 0;
+    /** Powered-instance integral: instanceCycles accumulates
+     *  powered * elapsed at every power transition. Spin-up and drain
+     *  both count — they burn power without serving, which is exactly
+     *  the reactive-scaling cost the traffic gate measures. */
+    std::uint32_t powered = 0;
+    std::uint64_t lastPowerChange = 0;
+    /** Completion latencies since the last evaluation — the windowed
+     *  p99 signal. */
+    std::vector<std::uint64_t> windowLat;
+
+    explicit Scaler(const AutoscalerConfig &c) : cfg(c), policy(c) {}
+
+    bool on() const { return cfg.enabled; }
+
+    /** Power the initial instances and arm the first evaluation. */
+    void
+    start(std::vector<Instance> &pool, EventCore &events)
+    {
+        for (std::size_t i = cfg.initialInstances; i < pool.size(); ++i)
+            pool[i].life = Life::Off;
+        powered = cfg.initialInstances;
+        stats.peakProvisioned = cfg.initialInstances;
+        evalGen = 1;
+        events.push(cfg.evalIntervalCycles, Kind::ScaleEval, 0, evalGen);
+    }
+
+    void
+    notePower(std::uint64_t now, int delta)
+    {
+        stats.instanceCycles +=
+            static_cast<std::uint64_t>(powered) * (now - lastPowerChange);
+        lastPowerChange = now;
+        powered =
+            static_cast<std::uint32_t>(static_cast<int>(powered) + delta);
+    }
+
+    /** Power `inst` off now, orphaning any pending SpinUp event. */
+    void
+    powerOff(Instance &inst, std::uint64_t now)
+    {
+        inst.life = Life::Off;
+        inst.lifeStamp += 1;
+        notePower(now, -1);
+    }
+
+    /** What the policy sees as capacity: powered instances that are
+     *  not on their way out (a draining instance no longer absorbs
+     *  load). */
+    static std::uint32_t
+    provisioned(const std::vector<Instance> &pool)
+    {
+        return static_cast<std::uint32_t>(
+            std::count_if(pool.begin(), pool.end(), [](const Instance &a) {
+                return a.life == Life::Active || a.life == Life::SpinningUp;
+            }));
+    }
+
+    /**
+     * One policy evaluation at `now`: read the windowed signals,
+     * decide, apply. Scale-up prefers resurrecting a draining instance
+     * (still powered, nothing was torn down — instantly Active) over
+     * powering a cold one, which pays spinUpCycles before accepting
+     * work; crashed hardware cannot be powered on. Scale-down first
+     * cancels a pending spin-up (nothing in flight to drain), else
+     * retires the highest-index Active instance gracefully: it stops
+     * accepting dispatches but finishes its pipeline (Run::service
+     * powers it off once drained).
+     */
+    void
+    evaluate(std::uint64_t now, std::uint64_t depth,
+             std::vector<Instance> &pool, EventCore &events)
+    {
+        std::uint64_t windowP99 = 0;
+        if (!windowLat.empty()) {
+            const std::size_t idx = std::min(
+                (windowLat.size() * 99 + 99) / 100 - 1, windowLat.size() - 1);
+            std::nth_element(windowLat.begin(),
+                             windowLat.begin() +
+                                 static_cast<std::ptrdiff_t>(idx),
+                             windowLat.end());
+            windowP99 = windowLat[idx];
+        }
+        windowLat.clear();
+        const int action =
+            policy.decide(now, depth, windowP99, provisioned(pool));
+        const auto findLife = [&pool](Life life, bool fromTop) {
+            for (std::size_t k = 0; k < pool.size(); ++k) {
+                Instance &a = pool[fromTop ? pool.size() - 1 - k : k];
+                if (a.life == life && !a.crashed)
+                    return &a;
+            }
+            return static_cast<Instance *>(nullptr);
+        };
+        if (action > 0) {
+            Instance *a = findLife(Life::Draining, false);
+            if (a != nullptr) {
+                a->life = Life::Active; // resurrect: no power change
+            } else if ((a = findLife(Life::Off, false)) != nullptr) {
+                notePower(now, +1);
+                a->life = cfg.spinUpCycles == 0 ? Life::Active
+                                                : Life::SpinningUp;
+                if (cfg.spinUpCycles != 0)
+                    events.push(now + cfg.spinUpCycles, Kind::SpinUp,
+                                a->index, ++a->lifeStamp);
+            }
+            stats.scaleUps += a != nullptr ? 1 : 0;
+        } else if (action < 0) {
+            Instance *a = findLife(Life::SpinningUp, true);
+            if (a != nullptr) {
+                powerOff(*a, now);
+            } else if ((a = findLife(Life::Active, true)) != nullptr) {
+                if (a->idle())
+                    powerOff(*a, now);
+                else
+                    a->life = Life::Draining;
+            }
+            stats.scaleDowns += a != nullptr ? 1 : 0;
+        }
+        const std::uint32_t prov = provisioned(pool);
+        stats.peakProvisioned = std::max(stats.peakProvisioned, prov);
+        stats.evals += 1;
+        stats.timeline.samples.push_back(ScalingSample{
+            now, depth, windowP99, prov, static_cast<std::int64_t>(action)});
+        evalGen += 1;
+        events.push(now + cfg.evalIntervalCycles, Kind::ScaleEval, 0,
+                    evalGen);
+    }
+
+    AutoscalerStats
+    finish(std::uint64_t clock, const std::vector<Instance> &pool)
+    {
+        notePower(clock, 0); // close the powered-instance integral
+        stats.enabled = true;
+        stats.minInstances = cfg.minInstances;
+        stats.maxInstances = cfg.maxInstances;
+        stats.finalProvisioned = provisioned(pool);
+        stats.timeline.bucketCycles = cfg.evalIntervalCycles;
+        return std::move(stats);
+    }
+};
+
+/** Reference-instance prices of one (network, bucket) class, in ns:
+ *  the SJF/EDF admission estimate and the cost-aware hold's weight-
+ *  reload and mapping prices. */
+struct ClassPrice
+{
+    std::uint64_t estimateNs = 0;
+    std::uint64_t weightLoadNs = 0;
+    std::uint64_t mapNs = 0;
+};
+
+/** Offered arrivals of one network: count, first and last instant. */
+struct ArrivalCadence
+{
+    std::uint64_t count = 0;
+    std::uint64_t firstNs = 0;
+    std::uint64_t lastNs = 0;
+};
+
+/**
+ * One simulation: admission (queue, batcher, map cache, class prices),
+ * the instances, the fault book, the scaler and the event core, plus
+ * the steps FleetScheduler::run sequences — service, faults, dispatch
+ * and admission. Its batcher rule captures `this`, so a Run is built
+ * in place and never copied.
+ */
+struct Run
+{
+    const std::vector<AcceleratorConfig> &fleet;
+    const ServiceModel &model;
+    const SchedulerConfig &cfg;
+    RequestSource &source;
+
+    ServingReport report;
+    AdmissionQueue queue;
+    Batcher batcher;
+    MapCache mapCache;
+    std::vector<Instance> instances;
+    FaultBook faults;
+    Scaler scaler;
+    EventCore events;
+
+    /** Per-network layer-config hash memo for map-cache keys. */
+    std::map<std::uint32_t, std::uint64_t> layerHashes;
+    /** Accelerator class per instance: the index of the first fleet
+     *  member with the same config name. Dispatch prices a batch once
+     *  per class. */
+    std::vector<std::size_t> classOf;
+    /** Reference-instance prices per (network, bucket). The profile
+     *  call is deterministic, so the memo keeps admission
+     *  O(log classes). */
+    std::map<std::pair<std::uint32_t, std::uint32_t>, ClassPrice> prices;
+    /** Cost-aware dispatch (BatcherConfig::costAware). Off (the
+     *  default): the cadence is never touched and the run stays
+     *  byte-identical to the frozen reference engine. */
+    const bool costAwareOn;
+    std::map<std::uint32_t, ArrivalCadence> cadence;
+    /** Leaders whose hold episodes were already counted in batchHolds
+     *  (one episode per leader, however many events re-evaluate it). */
+    std::unordered_set<std::uint64_t> countedHolds;
+    /** Exactly one Arrival entry is outstanding: the source's next
+     *  request. */
+    bool arrivalQueued = false;
+
+    Run(const std::vector<AcceleratorConfig> &fleet_,
+        const ServiceModel &model_, const std::vector<double> &scales,
+        const SchedulerConfig &cfg_, RequestSource &source_)
+        : fleet(fleet_), model(model_), cfg(cfg_), source(source_),
+          queue(cfg.queueDepth), batcher(cfg.batcher, scales),
+          mapCache(cfg.mapCache), instances(fleet.size()),
+          faults(cfg, fleet.size()), scaler(cfg.autoscaler),
+          costAwareOn(cfg.batcher.enabled && cfg.batcher.costAware &&
+                      cfg.batcher.targetK > 1)
+    {
+        report.freqGHz = fleet.front().freqGHz;
+        report.occupancy = toString(cfg.occupancy);
+        report.runAheadDepth = cfg.runAheadDepth;
+        report.costAware = cfg.batcher.costAware;
+        // A hit's collapsed map phase and a miss's full mapping can
+        // never share one dispatch price: keep batches hit-pure or
+        // miss-pure (evaluated against the cache state at decision
+        // time, like every other compatibility check).
+        if (mapCache.enabled())
+            batcher.setExtraCompatibility(
+                [this](const Request &a, const Request &b) {
+                    return mapCache.contains(keyOf(a)) ==
+                           mapCache.contains(keyOf(b));
+                });
+        classOf.resize(fleet.size());
+        for (std::size_t i = 0; i < fleet.size(); ++i) {
+            Instance &inst = instances[i];
+            inst.index = static_cast<std::uint32_t>(i);
+            inst.occupancy = cfg.occupancy;
+            if (cfg.occupancy == OccupancyModel::Pipelined)
+                inst.stagedCap = cfg.runAheadDepth - 1;
+            inst.usage.name = fleet[i].name + "#" + std::to_string(i);
+            inst.usage.freqGHz = fleet[i].freqGHz;
+            classOf[i] = i;
+            for (std::size_t j = 0; j < i && classOf[i] == i; ++j)
+                if (fleet[j].name == fleet[i].name)
+                    classOf[i] = j;
+        }
+        // Prime the heap: the first arrival, the first scaling
+        // evaluation, then the whole materialized fault timeline (the
+        // stamp indexes back into it).
+        armArrival();
+        if (scaler.on())
+            scaler.start(instances, events);
+        for (std::size_t f = 0; f < faults.timeline.size(); ++f)
+            events.push(faults.timeline[f].atNs, Kind::Fault,
+                        faults.timeline[f].instance, f);
+    }
+
+    Run(const Run &) = delete;
+
+    MapCacheKey
+    keyOf(const Request &r)
+    {
+        const auto [it, fresh] = layerHashes.try_emplace(r.networkId, 0);
+        if (fresh)
+            it->second = model.layerConfigHash(r.networkId);
+        return MapCacheKey{r.cloudId, r.networkId, it->second};
+    }
+
+    /** SJF/EDF estimates and cost-aware prices are priced against the
+     *  lead accelerator: relative job ordering and cost magnitudes are
+     *  what matter, and network cost ratios are stable across
+     *  classes. */
+    const ClassPrice &
+    priceOf(const Request &r)
+    {
+        const auto [it, fresh] =
+            prices.try_emplace({r.networkId, r.sizeBucket});
+        if (fresh) {
+            const double ghz = fleet.front().freqGHz;
+            const auto p =
+                model.profile(fleet.front(), r.networkId, r.sizeBucket);
+            it->second = {cyclesToNs(p.totalCycles, ghz),
+                          cyclesToNs(p.weightLoadCycles, ghz),
+                          cyclesToNs(p.phases().mapCycles, ghz)};
+        }
+        return it->second;
+    }
+
+    /** Is there anything left to serve or scale for? Gates the
+     *  recurring autoscaler and fault events so an idle, drained
+     *  simulation terminates (and its horizon is the work's). */
+    bool
+    hasWork() const
+    {
+        // A scheduled retry will re-enter admission.
+        return !queue.empty() || source.peek() != nullptr ||
+               faults.pendingRetries > 0 ||
+               !std::all_of(instances.begin(), instances.end(),
+                            [](const Instance &a) { return a.idle(); });
+    }
+
+    /** Could any instance serve again: one is up, or a fault event
+     *  still to fire may recover one? */
+    bool
+    canServeAgain(std::uint64_t now) const
+    {
+        return std::any_of(instances.begin(), instances.end(),
+                           [](const Instance &a) { return !a.crashed; }) ||
+               (!faults.timeline.empty() &&
+                faults.timeline.back().atNs >= now);
+    }
+
+    /** Apply every stage transition due at `now` on one instance,
+     *  recording each back-end completion. */
+    void
+    service(std::uint32_t idx, std::uint64_t now)
+    {
+        Instance &inst = instances[idx];
+        while (std::optional<InFlight> unit =
+                   inst.advance(now, events, mapCache)) {
+            for (const auto &r : unit->batch.requests) {
+                if (!faults.completes(r, idx))
+                    continue;
+                const std::uint64_t latency = unit->doneAt - r.arrivalCycle;
+                report.latencyCycles.record(static_cast<double>(latency));
+                report.completionCycles.push_back(unit->doneAt);
+                if (r.deadlineCycle > 0 && unit->doneAt > r.deadlineCycle)
+                    report.deadlineMisses += 1;
+                report.completed += 1;
+                if (scaler.on())
+                    scaler.windowLat.push_back(latency);
+            }
+            // Graceful drain made countable: work finished by an
+            // instance already decommissioned when it completed.
+            if (scaler.on() && inst.life == Life::Draining)
+                scaler.stats.drainedBatches += 1;
+        }
+        // A draining instance powers off the moment its pipeline
+        // empties — graceful drain complete.
+        if (scaler.on() && inst.life == Life::Draining && inst.idle())
+            scaler.powerOff(inst, now);
+    }
+
+    /** Apply one materialized fault event. A batch completing at the
+     *  crash instant completes: the service sweep runs first. */
+    void
+    applyFault(const FaultEvent &f, std::uint64_t now)
+    {
+        Instance &a = instances[f.instance];
+        switch (f.kind) {
+          case FaultEventKind::Crash:
+            if (a.crashed)
+                return; // overlapping outages coalesce
+            a.crashed = true;
+            faults.stats.crashes += 1;
+            for (const InFlight &u : a.crash(now)) {
+                faults.stats.failedBatches += 1;
+                for (const auto &r : u.batch.requests)
+                    faults.failRequest(r, f.instance, now, events);
+            }
+            // With the autoscaler on, a crash is a power loss: the
+            // policy sees provisioned capacity drop, and its spin-up
+            // path doubles as crash replacement.
+            if (scaler.on() && a.life != Life::Off)
+                scaler.powerOff(a, now);
+            break;
+          case FaultEventKind::Recover:
+            if (!a.crashed)
+                return;
+            a.crashed = false;
+            faults.stats.recoveries += 1;
+            // Autoscaled fleets get the instance back as an Off pool
+            // candidate (powering it is the policy's call); static
+            // fleets resume dispatching to it immediately.
+            break;
+          case FaultEventKind::StragglerStart:
+            a.slowdown = f.factor;
+            faults.stats.stragglerWindows += 1;
+            break;
+          case FaultEventKind::StragglerEnd:
+            a.slowdown = 1.0;
+            break;
+        }
+    }
+
+    /** Price one hold-vs-dispatch decision for a batch led by `head`.
+     *  The backlog is the committed back-end work on the least-loaded
+     *  accepting instance — the one the dispatch would plausibly land
+     *  on; while it outlasts the head's mapping, holding the front-end
+     *  forfeits no overlap. */
+    DispatchCost
+    dispatchCostOf(const Request &head, std::uint64_t now)
+    {
+        DispatchCost price;
+        const ClassPrice &cp = priceOf(head);
+        price.weightLoadNs = cp.weightLoadNs;
+        price.mapNs = cp.mapNs;
+        // Mean inter-arrival gap of the head's network; 0 until two
+        // arrivals have been seen (no cadence, no priced hold).
+        const auto it = cadence.find(head.networkId);
+        if (it != cadence.end() && it->second.count >= 2)
+            price.arrivalGapNs = (it->second.lastNs - it->second.firstNs) /
+                                 (it->second.count - 1);
+        std::uint64_t backlog = kNever;
+        for (const auto &a : instances)
+            if (a.canAccept())
+                backlog = std::min(backlog, a.backlog(now));
+        price.backlogNs = backlog == kNever ? 0 : backlog;
+        return price;
+    }
+
+    /** One dispatch pass at `now`: form and place batches while an
+     *  instance can accept, holding undersized wait-for-K groups. */
+    void
+    dispatch(std::uint64_t now)
+    {
+        // The timer mirrors the *currently outstanding* holds: every
+        // pass re-decides, so first disarm — a hold resolved by new
+        // arrivals must not leave a stale event inflating the horizon.
+        events.timerAt = kNever;
+        // Leaders held this pass. A hold freezes only the leader's
+        // compatibility group: its members neither lead nor join
+        // batches until the group reaches K or the deadline passes,
+        // while every other group keeps dispatching around it.
+        std::vector<Request> heldLeaders;
+        const std::function<bool(const Request &)> inHeldGroup =
+            [&](const Request &r) {
+                for (const auto &h : heldLeaders)
+                    if (h.id == r.id || batcher.compatible(h, r))
+                        return true;
+                return false;
+            };
+        while (!queue.empty() &&
+               std::any_of(instances.begin(), instances.end(),
+                           [](const Instance &a) { return a.canAccept(); })) {
+            const Request *head = queue.peekEligible(cfg.policy, inHeldGroup);
+            if (head == nullptr)
+                break; // everything queued belongs to a held group
+
+            // Wait-for-K: hold this group and arm a timer instead of
+            // dispatching undersized, unless the deadline passed (or,
+            // cost-aware, unless waiting no longer pays).
+            const BatchHold hold =
+                costAwareOn
+                    ? batcher.costAwareHold(queue, *head, now,
+                                            dispatchCostOf(*head, now),
+                                            inHeldGroup)
+                    : batcher.holdForHead(queue, *head, now, inHeldGroup);
+            if (hold.hold) {
+                report.costHolds += costAwareOn ? 1 : 0;
+                if (countedHolds.insert(head->id).second) {
+                    report.batchHolds += 1;
+                    report.holdTrackingPeak = std::max<std::uint64_t>(
+                        report.holdTrackingPeak, countedHolds.size());
+                }
+                events.timerAt = std::min(events.timerAt, hold.until);
+                heldLeaders.push_back(*head);
+                continue; // other groups may still dispatch
+            }
+
+            Batch batch =
+                batcher.formLedBy(queue, *head, cfg.policy, inHeldGroup);
+            // Hold episodes end at dispatch: dropping the members' ids
+            // keeps the dedup set bounded by queue depth (a re-queued
+            // id later starts a fresh, separately counted episode).
+            if (!countedHolds.empty())
+                for (const auto &r : batch.requests)
+                    countedHolds.erase(r.id);
+            if (costAwareOn &&
+                batch.size() < std::min<std::size_t>(
+                                   cfg.batcher.targetK,
+                                   cfg.batcher.maxBatchSize))
+                report.costDispatches += 1;
+            faults.noteDispatched(batch);
+            place(std::move(batch), now);
+        }
+        events.syncTimer();
+    }
+
+    /** Place `batch` on the accepting instance that finishes it
+     *  soonest. */
+    void
+    place(Batch batch, std::uint64_t now)
+    {
+        // Classify against the map cache. The batcher's extra rule
+        // keeps batches hit-pure or miss-pure; the all-of scan is the
+        // honest check of that invariant.
+        bool hitBatch = mapCache.enabled();
+        for (const auto &r : batch.requests)
+            hitBatch = hitBatch && mapCache.contains(keyOf(r));
+        // Modelled cost of streaming the cached maps back, clamped
+        // below into the mapping it replaces (a hit can never be
+        // slower than the miss it avoids).
+        const std::uint64_t readCost =
+            cfg.mapCache.hitReadCycles *
+            static_cast<std::uint64_t>(batch.size());
+
+        // Batch phases depend only on the accelerator class, so price
+        // once per class. The profiled cycles convert to the ns event
+        // axis here, at this class's own clock — the one point where
+        // the per-instance cycle domain meets the global wall clock.
+        std::vector<std::optional<PhaseProfile>> classPhases(fleet.size());
+        std::size_t best = instances.size();
+        std::uint64_t bestDone = kNever;
+        PhaseProfile bestPhases;
+        for (std::size_t i = 0; i < instances.size(); ++i) {
+            const Instance &inst = instances[i];
+            if (!inst.canAccept())
+                continue;
+            auto &memo = classPhases[classOf[i]];
+            if (!memo) {
+                const PhaseProfile full = phasesToNs(
+                    model.batchPhases(fleet[i], batch), fleet[i].freqGHz);
+                const std::uint64_t skipped =
+                    hitBatch ? full.mapCycles - std::min(full.mapCycles,
+                                                         readCost)
+                             : 0;
+                // Pipelined: a hit's map phase collapses to the read.
+                // Monolithic: one opaque interval, shrunk by the
+                // mapping a hit skips.
+                memo = cfg.occupancy == OccupancyModel::Pipelined
+                           ? PhaseProfile{full.mapCycles - skipped,
+                                          full.backendCycles}
+                           : PhaseProfile{0, full.total() - skipped};
+            }
+            PhaseProfile ph = *memo;
+            // Straggler windows stretch this instance's service time.
+            // The exact ==1.0 comparison keeps the fault-free path free
+            // of any float round-trip — byte-identity with the
+            // reference engine depends on it.
+            if (inst.slowdown != 1.0)
+                for (std::uint64_t *c : {&ph.mapCycles, &ph.backendCycles})
+                    *c = static_cast<std::uint64_t>(std::llround(
+                        static_cast<double>(*c) * inst.slowdown));
+            const std::uint64_t done = inst.estimateDone(ph, now);
+            if (done < bestDone) {
+                bestDone = done;
+                best = i;
+                bestPhases = ph;
+            }
+        }
+
+        InFlight unit;
+        unit.phases = bestPhases;
+        unit.dispatchedAt = now;
+        unit.mapDoneAt = now + bestPhases.mapCycles;
+        const AcceleratorConfig &acc = fleet[best];
+        if (hitBatch) {
+            // Recency/frequency and byte savings book per member; the
+            // cycle savings book once per batch as exactly what this
+            // dispatch skipped, priced against the instance the hit
+            // dispatched to, in event-axis ns.
+            for (const auto &r : batch.requests)
+                mapCache.recordHit(keyOf(r));
+            const std::uint64_t batchMap =
+                phasesToNs(model.batchPhases(acc, batch), acc.freqGHz)
+                    .mapCycles;
+            mapCache.creditSavedCycles(batchMap -
+                                       std::min(batchMap, readCost));
+        } else if (mapCache.enabled()) {
+            // Misses publish their maps at mapping completion, priced
+            // against the chosen instance. cloudId 0 means "no content
+            // identity" (hand-built traces): count the miss but never
+            // publish a map — distinct geometries must not alias one
+            // entry.
+            for (const auto &r : batch.requests) {
+                mapCache.recordMiss();
+                if (r.cloudId == 0)
+                    continue;
+                const auto p = model.profile(acc, r.networkId, r.sizeBucket);
+                const MapCacheEntry entry{
+                    cyclesToNs(p.phases().mapCycles, acc.freqGHz), p.mapBytes};
+                unit.inserts.emplace_back(keyOf(r), entry);
+            }
+        }
+        report.batchSize.record(static_cast<double>(batch.size()));
+        for (const auto &r : batch.requests)
+            report.queueWaitCycles.record(
+                static_cast<double>(now - r.arrivalCycle));
+        faults.armHedges(batch, now, events);
+        unit.batch = std::move(batch);
+
+        Instance &inst = instances[best];
+        inst.usage.mapBusyCycles += unit.phases.mapCycles;
+        inst.usage.batches += 1;
+        inst.usage.requests += unit.batch.size();
+        inst.frontStamp += 1;
+        if (unit.mapDoneAt > now)
+            events.push(unit.mapDoneAt, Kind::MapDone, inst.index,
+                        inst.frontStamp);
+        inst.front.emplace(std::move(unit));
+        // Zero-length map phases promote straight to the back-end
+        // (this is the whole dispatch in the monolithic model).
+        service(inst.index, now);
+    }
+
+    void
+    armArrival()
+    {
+        if (arrivalQueued || source.peek() == nullptr)
+            return;
+        events.push(source.peek()->arrivalCycle, Kind::Arrival, 0, 0);
+        arrivalQueued = true;
+    }
+
+    /** Admit every arrival due at `now`, then re-arm the Arrival
+     *  entry for the source's next request. */
+    void
+    admit(std::uint64_t now)
+    {
+        while (source.peek() != nullptr &&
+               source.peek()->arrivalCycle <= now) {
+            Request r = source.take();
+            report.generated += 1;
+            r.estimatedCycles = priceOf(r).estimateNs;
+            // The cadence tracks the offered arrival process (drops
+            // included; retries and hedges are re-admissions, not
+            // arrivals, and never pass through here).
+            if (costAwareOn) {
+                ArrivalCadence &c = cadence[r.networkId];
+                c.firstNs = c.count == 0 ? r.arrivalCycle : c.firstNs;
+                c.lastNs = r.arrivalCycle;
+                c.count += 1;
+            }
+            queue.push(r); // drop accounting lives in the queue
+        }
+        armArrival();
+    }
+
+    ServingReport
+    finish(std::uint64_t clock)
+    {
+        report.horizonCycles = clock;
+        report.admitted = queue.admitted();
+        report.dropped = queue.dropped();
+        report.failed = faults.failed;
+        // Hedged duplicates still in admission are not requests of
+        // record: admitted = completed + failed + leftoverQueued counts
+        // each request exactly once.
+        report.leftoverQueued = queue.size() - faults.hedgedInQueue;
+        report.faults = faults.stats;
+        report.mapCache = mapCache.stats();
+        for (const auto &inst : instances) {
+            report.accelerators.push_back(inst.usage);
+            report.runAheadStaged += inst.stagedTotal;
+            report.runAheadPeakStaged =
+                std::max(report.runAheadPeakStaged, inst.stagedPeak);
+        }
+        if (scaler.on())
+            report.autoscaler = scaler.finish(clock, instances);
+        return std::move(report);
+    }
+};
+
+bool
+EventCore::valid(const Event &e, const Run &run) const
+{
+    const Instance &a = run.instances[e.accel];
+    switch (e.kind) {
+      case Kind::MapDone:
+        return a.front && a.frontStamp == e.stamp && !a.front->mapped;
+      case Kind::RunDone:
+        return a.back && a.backStamp == e.stamp;
+      case Kind::Timer:
+        return timerAt != kNever && e.stamp == timerGen;
+      case Kind::Arrival:
+      case Kind::Retry:
+        // Retries are always live: pendingRetries counts them as work,
+        // and the fire handler drops retries a hedge already won.
+        return true;
+      case Kind::ScaleEval:
+        // The recurring evaluation dies with the work: a drained, idle
+        // simulation must terminate, not tick forever. So does one
+        // whose whole fleet is down for good: like a static fleet, it
+        // strands its backlog.
+        return run.scaler.on() && e.stamp == run.scaler.evalGen &&
+               run.hasWork() && run.canServeAgain(e.at);
+      case Kind::SpinUp:
+        return a.life == Life::SpinningUp && a.lifeStamp == e.stamp &&
+               run.hasWork();
+      case Kind::Fault:
+        // A fault program outliving the workload must not extend the
+        // horizon: trailing events on a drained, idle fleet are dead.
+        return run.hasWork();
+      case Kind::Hedge:
+        return run.faults.hedgeLive(e.stamp);
+    }
+    return false;
+}
 
 } // namespace
 
@@ -468,1180 +1567,101 @@ FleetScheduler::run(std::vector<Request> arrivals) const
 ServingReport
 FleetScheduler::run(RequestSource &source) const
 {
-    ServingReport report;
-    report.freqGHz = fleet.front().freqGHz;
-    report.occupancy = toString(cfg.occupancy);
-    report.runAheadDepth = cfg.runAheadDepth;
-    report.costAware = cfg.batcher.costAware;
-
-    AdmissionQueue queue(cfg.queueDepth);
-    Batcher batcher(cfg.batcher, bucketScales);
-
-    // Cross-request kernel-map cache. Keys memoize the per-network
-    // layer-config hash; lookups classify requests as hits or misses
-    // *at dispatch time* (cache contents evolve as misses publish).
-    MapCache mapCache(cfg.mapCache);
-    std::map<std::uint32_t, std::uint64_t> layerHashes;
-    const auto keyOf = [&](const Request &r) {
-        auto it = layerHashes.find(r.networkId);
-        if (it == layerHashes.end())
-            it = layerHashes
-                     .emplace(r.networkId,
-                              model.layerConfigHash(r.networkId))
-                     .first;
-        return MapCacheKey{r.cloudId, r.networkId, it->second};
-    };
-    if (mapCache.enabled()) {
-        // A hit's collapsed map phase and a miss's full mapping can
-        // never share one dispatch price: keep batches hit-pure or
-        // miss-pure (evaluated against the cache state at decision
-        // time, like every other compatibility check).
-        batcher.setExtraCompatibility(
-            [&](const Request &a, const Request &b) {
-                return mapCache.contains(keyOf(a)) ==
-                       mapCache.contains(keyOf(b));
-            });
-    }
-
-    std::vector<AccelState> accels(fleet.size());
-    for (std::size_t i = 0; i < fleet.size(); ++i) {
-        accels[i].usage.name =
-            fleet[i].name + "#" + std::to_string(i);
-        accels[i].usage.freqGHz = fleet[i].freqGHz;
-    }
-
-    // ---- Reactive autoscaling (runtime/autoscaler) ---------------- //
-    // Disabled (the default): every instance stays Active and none of
-    // this code runs — the event stream and report are byte-identical
-    // to pre-autoscaler builds. Enabled: the configured fleet is the
-    // *pool*; only instances the policy has powered serve.
-    const AutoscalerConfig &asCfg = cfg.autoscaler;
-    const bool asEnabled = asCfg.enabled;
-    AutoscalerPolicy policy(asCfg);
-    AutoscalerStats asStats;
-    std::uint64_t evalGen = 0;
-    // Powered-instance integral: instanceCycles accumulates
-    // poweredCount * elapsed at every power transition. Spin-up and
-    // drain both count — they burn power without serving, which is
-    // exactly the reactive-scaling cost the traffic gate measures.
-    std::uint32_t poweredCount = 0;
-    std::uint64_t lastPowerChange = 0;
-    const auto notePower = [&](std::uint64_t now, int delta) {
-        asStats.instanceCycles +=
-            static_cast<std::uint64_t>(poweredCount) *
-            (now - lastPowerChange);
-        lastPowerChange = now;
-        poweredCount = static_cast<std::uint32_t>(
-            static_cast<int>(poweredCount) + delta);
-    };
-    // What the policy sees as capacity: powered instances that are not
-    // on their way out (a draining instance no longer absorbs load).
-    const auto decisionProvisioned = [&]() {
-        std::uint32_t n = 0;
-        for (const auto &a : accels)
-            if (a.life == Life::Active || a.life == Life::SpinningUp)
-                n += 1;
-        return n;
-    };
-    // Completion latencies since the last evaluation — the windowed
-    // p99 signal.
-    std::vector<std::uint64_t> windowLat;
-    if (asEnabled) {
-        for (std::size_t i = asCfg.initialInstances; i < accels.size();
-             ++i)
-            accels[i].life = Life::Off;
-        poweredCount = asCfg.initialInstances;
-        asStats.peakProvisioned = asCfg.initialInstances;
-    }
-
-    // ---- Fault injection (runtime/faults) ------------------------- //
-    // Inactive (the default, or an enabled program that materializes
-    // no events with retries off): nothing enters the heap, no
-    // per-request state is consulted, and the run stays byte-identical
-    // to a fault-free build — the --sweep faults gate pins that
-    // against the frozen reference engine.
-    const RetryPolicy &retry = cfg.retry;
-    const std::vector<FaultEvent> faultEvents =
-        materializeFaultEvents(cfg.faults, fleet.size());
-    const bool faultsOn = !faultEvents.empty() || retry.enabled;
-    FaultStats fstats;
-    fstats.enabled = faultsOn;
-    // Per-request fault state, created lazily for crash victims and
-    // hedged requests only (the common unfaulted request never touches
-    // the map). Keyed by the original id (hedge duplicates strip
-    // kHedgeIdBit): `done` marks the winning completion so a losing
-    // copy can never complete a request twice, `failed` the terminal
-    // failure, `crashedOn` the instance whose crash last killed it
-    // (completing elsewhere is a counted failover).
-    struct ReqFaultState
-    {
-        bool done = false;
-        bool failed = false;
-        bool hedged = false;
-        std::uint32_t crashedOn = kNoInstance;
-    };
-    std::unordered_map<std::uint64_t, ReqFaultState> rstate;
-    const auto origId = [](const Request &r) {
-        return r.hedge ? (r.id & ~kHedgeIdBit) : r.id;
-    };
-    std::vector<Request> retrySlots; // Retry event stamp -> request
-    std::vector<Request> hedgeSlots; // Hedge event stamp -> duplicate
-    std::uint64_t pendingRetries = 0; // scheduled, not yet re-admitted
-    std::uint64_t hedgedInQueue = 0;  // duplicates sitting in admission
-
-    // Accelerator class per instance: the index of the first fleet
-    // member with the same config name. Dispatch prices a batch once
-    // per class (the seed keyed the same memo by name strings).
-    std::vector<std::size_t> classOf(fleet.size());
-    for (std::size_t i = 0; i < fleet.size(); ++i) {
-        classOf[i] = i;
-        for (std::size_t j = 0; j < i; ++j) {
-            if (fleet[j].name == fleet[i].name) {
-                classOf[i] = j;
-                break;
-            }
-        }
-    }
-
-    // SJF/EDF estimates are priced against the lead accelerator, in ns
-    // on the event axis; on a heterogeneous fleet relative job
-    // ordering is what matters, and network cost ratios are stable
-    // across classes.
-    const AcceleratorConfig &reference = fleet.front();
-    // Admission estimate per (network, bucket): the profile call is
-    // deterministic, so memoizing it against the reference instance
-    // keeps per-arrival admission O(log classes).
-    std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t>
-        estCache;
-    const auto estimateOf = [&](const Request &r) {
-        const auto key = std::make_pair(r.networkId, r.sizeBucket);
-        auto it = estCache.find(key);
-        if (it == estCache.end())
-            it = estCache
-                     .emplace(key,
-                              cyclesToNs(model
-                                             .profile(reference,
-                                                      r.networkId,
-                                                      r.sizeBucket)
-                                             .totalCycles,
-                                         reference.freqGHz))
-                     .first;
-        return it->second;
-    };
-
-    // ---- Cost-aware dispatch (BatcherConfig::costAware) ----------- //
-    // Off (the default): none of this state is touched and the run
-    // stays byte-identical to the frozen reference engine. On: each
-    // hold decision is priced (Batcher::costAwareHold) from three
-    // simulator facts — the head's class prices, the head network's
-    // observed arrival cadence, and the back-end backlog of the
-    // least-loaded accepting instance.
-    const bool costAwareOn = cfg.batcher.enabled &&
-                             cfg.batcher.costAware &&
-                             cfg.batcher.targetK > 1;
-    struct ArrivalCadence
-    {
-        std::uint64_t count = 0;
-        std::uint64_t firstNs = 0;
-        std::uint64_t lastNs = 0;
-    };
-    std::map<std::uint32_t, ArrivalCadence> cadence;
-    const auto noteArrival = [&](const Request &r) {
-        ArrivalCadence &c = cadence[r.networkId];
-        if (c.count == 0)
-            c.firstNs = r.arrivalCycle;
-        c.lastNs = r.arrivalCycle;
-        c.count += 1;
-    };
-    // Mean inter-arrival gap of one network's requests; 0 until two
-    // arrivals have been seen (no cadence, no priced hold).
-    const auto gapOf = [&](std::uint32_t network_id) -> std::uint64_t {
-        const auto it = cadence.find(network_id);
-        if (it == cadence.end() || it->second.count < 2)
-            return 0;
-        return (it->second.lastNs - it->second.firstNs) /
-               (it->second.count - 1);
-    };
-    // Weight-reload and mapping prices per (network, bucket), against
-    // the reference instance like the SJF/EDF estimates — the decision
-    // compares magnitudes, and cost ratios are stable across classes.
-    struct ClassPrice
-    {
-        std::uint64_t weightLoadNs = 0;
-        std::uint64_t mapNs = 0;
-    };
-    std::map<std::pair<std::uint32_t, std::uint32_t>, ClassPrice>
-        priceCache;
-    const auto priceOf = [&](const Request &r) {
-        const auto key = std::make_pair(r.networkId, r.sizeBucket);
-        auto it = priceCache.find(key);
-        if (it == priceCache.end()) {
-            const auto p =
-                model.profile(reference, r.networkId, r.sizeBucket);
-            it = priceCache
-                     .emplace(key,
-                              ClassPrice{
-                                  cyclesToNs(p.weightLoadCycles,
-                                             reference.freqGHz),
-                                  cyclesToNs(p.phases().mapCycles,
-                                             reference.freqGHz)})
-                     .first;
-        }
-        return it->second;
-    };
-
-    // The global event heap (arrivals, map-done, run-done, batch-hold
-    // timer) with lazy invalidation; see Event above. Replaces the
-    // seed loop's per-iteration rescan of every instance.
-    std::priority_queue<Event, std::vector<Event>, EventLater> events;
-    std::uint64_t evSeq = 0;
-    const auto pushEv = [&](std::uint64_t at, Event::Kind kind,
-                            std::uint32_t accel, std::uint64_t stamp) {
-        events.push(Event{at, ++evSeq, kind, accel, stamp});
-    };
-
-    // Batcher timer: earliest pending wait-for-K hold deadline.
-    // timerGen stamps the currently armed timer event; re-arming or
-    // disarming bumps it, orphaning any queued timer entry.
-    std::uint64_t timerAt = kNever;
-    std::uint64_t timerGen = 0;
-    std::uint64_t armedAt = kNever;
-    const auto syncTimer = [&]() {
-        if (timerAt == armedAt)
-            return;
-        timerGen += 1;
-        armedAt = timerAt;
-        if (timerAt != kNever)
-            pushEv(timerAt, Event::Kind::Timer, 0, timerGen);
-    };
-    // Leaders whose hold episodes were already counted in batchHolds
-    // (one episode per leader, however many events re-evaluate it).
-    std::unordered_set<std::uint64_t> countedHolds;
-
-    const auto completeBack = [&](std::size_t idx) {
-        AccelState &acc = accels[idx];
-        const InFlight &unit = *acc.back;
-        // Monolithic runs are one opaque interval — there is no
-        // mapping-completion moment inside it to observe, so a miss's
-        // kernel maps publish only when the whole run finishes (the
-        // pipelined model publishes at map-phase completion instead,
-        // where the maps physically first exist).
-        if (cfg.occupancy == OccupancyModel::Monolithic)
-            for (const auto &ins : unit.inserts)
-                mapCache.insert(ins.first, ins.second);
-        for (const auto &r : unit.batch.requests) {
-            if (faultsOn) {
-                const auto it = rstate.find(origId(r));
-                if (it != rstate.end()) {
-                    ReqFaultState &st = it->second;
-                    if (st.done || st.failed) {
-                        // The race's loser (or a copy of a request
-                        // already declared failed): record only the
-                        // wasted hedge, never a second completion.
-                        if (r.hedge)
-                            fstats.hedgesLost += 1;
-                        continue;
-                    }
-                    st.done = true;
-                    if (r.hedge)
-                        fstats.hedgesWon += 1;
-                    if (st.crashedOn != kNoInstance &&
-                        st.crashedOn != static_cast<std::uint32_t>(idx))
-                        fstats.failovers += 1;
-                }
-            }
-            report.latencyCycles.record(
-                static_cast<double>(unit.doneAt - r.arrivalCycle));
-            report.completionCycles.push_back(unit.doneAt);
-            if (r.deadlineCycle > 0 && unit.doneAt > r.deadlineCycle)
-                report.deadlineMisses += 1;
-            report.completed += 1;
-            if (asEnabled)
-                windowLat.push_back(unit.doneAt - r.arrivalCycle);
-        }
-        // Graceful drain made countable: work finished by an instance
-        // that was already decommissioned when it completed.
-        if (asEnabled && acc.life == Life::Draining)
-            asStats.drainedBatches += 1;
-        // Busy-interval union: residency intervals arrive in
-        // nondecreasing start order (the pipeline is FIFO per
-        // instance), so a running high-water mark suffices.
-        const std::uint64_t start =
-            std::max(unit.dispatchedAt, acc.coveredUntil);
-        if (unit.doneAt > start)
-            acc.usage.busyCycles += unit.doneAt - start;
-        acc.coveredUntil = std::max(acc.coveredUntil, unit.doneAt);
-        acc.back.reset();
-    };
-
-    // Start a batch on the empty back-end at `now` — the moment the
-    // handoff (or staged promotion) became possible is itself an
-    // event, so `now` is exactly the back-end start.
-    const auto startBack = [&](std::size_t idx, InFlight unit,
-                               std::uint64_t now) {
-        AccelState &acc = accels[idx];
-        unit.doneAt = now + unit.phases.backendCycles;
-        acc.usage.backendBusyCycles += unit.phases.backendCycles;
-        acc.backStamp += 1;
-        if (unit.doneAt > now)
-            pushEv(unit.doneAt, Event::Kind::RunDone,
-                   static_cast<std::uint32_t>(idx), acc.backStamp);
-        acc.back.emplace(std::move(unit));
-    };
-
-    // Staging-FIFO capacity: runAheadDepth - 1 mapped batches may park
-    // between the stages under Pipelined occupancy (Monolithic never
-    // overlaps stages, so its buffer is always 0 — same as depth 1).
-    const std::size_t stagedCap =
-        cfg.occupancy == OccupancyModel::Pipelined
-            ? static_cast<std::size_t>(cfg.runAheadDepth) - 1
-            : 0;
-
-    // Apply every stage transition due at `now` on one instance:
-    // back-end completions, staged run-ahead promotions, then the
-    // front->back handoff (which may itself complete immediately when
-    // a back-end phase is empty). Transitions landing strictly in the
-    // future enqueue heap events; same-cycle ones cascade right here,
-    // so every pending transition always has a live heap entry or
-    // resolves synchronously.
-    const auto service = [&](std::size_t idx, std::uint64_t now) {
-        AccelState &acc = accels[idx];
-        for (;;) {
-            if (acc.back && acc.back->doneAt <= now) {
-                completeBack(idx);
-                continue;
-            }
-            // Promote from the staging FIFO first: staged batches
-            // finished mapping before anything still in the front
-            // slot, and the back-end serves in dispatch order.
-            if (!acc.back && !acc.staged.empty()) {
-                InFlight unit = std::move(acc.staged.front());
-                acc.staged.pop_front();
-                startBack(idx, std::move(unit), now);
-                continue;
-            }
-            if (acc.front && acc.front->mapDoneAt <= now) {
-                // Mapping just finished: a miss dispatch publishes its
-                // kernel maps now — later same-cycle dispatches may
-                // already hit them. (Monolithic dispatches have an
-                // empty map phase; their maps publish at run
-                // completion instead — see completeBack.)
-                if (!acc.front->mapped &&
-                    cfg.occupancy == OccupancyModel::Pipelined)
-                    for (const auto &ins : acc.front->inserts)
-                        mapCache.insert(ins.first, ins.second);
-                acc.front->mapped = true;
-                if (!acc.back) {
-                    // The staged FIFO is empty here (promotion above
-                    // ran first): direct handoff, the depth-1 path.
-                    InFlight unit = std::move(*acc.front);
-                    acc.front.reset();
-                    startBack(idx, std::move(unit), now);
-                    continue;
-                }
-                if (acc.staged.size() < stagedCap) {
-                    // Run ahead: park the mapped batch and free the
-                    // front slot — the Mapping Unit may accept the
-                    // next dispatch while the back-end works through
-                    // its backlog.
-                    acc.staged.push_back(std::move(*acc.front));
-                    acc.front.reset();
-                    report.runAheadStaged += 1;
-                    report.runAheadPeakStaged =
-                        std::max(report.runAheadPeakStaged,
-                                 static_cast<std::uint64_t>(
-                                     acc.staged.size()));
-                    continue;
-                }
-            }
-            break;
-        }
-        // A draining instance powers off the moment its pipeline
-        // empties — graceful drain complete, every in-flight batch
-        // finished and recorded.
-        if (asEnabled && acc.life == Life::Draining && !acc.front &&
-            acc.staged.empty() && !acc.back) {
-            acc.life = Life::Off;
-            notePower(now, -1);
-        }
-    };
-
-    // Exact completion time of `ph` were it dispatched to `acc` now:
-    // mapping starts immediately (the front slot is free by
-    // precondition), the back-end starts at the later of mapping
-    // completion and the back-end's committed backlog draining — the
-    // running batch's remainder plus every staged run-ahead batch
-    // (the FIFO serves strictly before a new dispatch can).
-    const auto estimateDone = [](const AccelState &acc,
-                                 const PhaseProfile &ph,
-                                 std::uint64_t now) {
-        const std::uint64_t mapDone = now + ph.mapCycles;
-        std::uint64_t backFree = acc.back ? acc.back->doneAt : now;
-        for (const auto &s : acc.staged)
-            backFree += s.phases.backendCycles;
-        const std::uint64_t backStart = std::max(mapDone, backFree);
-        return backStart + ph.backendCycles;
-    };
-
-    // A crash just killed `r` mid-flight on `inst`: route it through
-    // the retry policy (bounded, exponential backoff priced in ns) or
-    // record the terminal failure. Hedged duplicates get no second
-    // chance — the original (or its own retry chain) is still the
-    // request of record.
-    const auto failRequest = [&](const Request &r, std::uint32_t inst,
-                                 std::uint64_t now) {
-        if (r.hedge) {
-            fstats.hedgesLost += 1;
-            return;
-        }
-        ReqFaultState &st = rstate[r.id];
-        if (st.done)
-            return; // a hedge copy already completed it
-        st.crashedOn = inst;
-        fstats.inflightFailed += 1;
-        bool timedOut = false;
-        if (retry.enabled && r.attempt < retry.maxRetries) {
-            const std::uint64_t backoff = retryBackoffNs(retry, r.attempt);
-            if (retry.timeoutNs > 0 &&
-                now + backoff > r.arrivalCycle + retry.timeoutNs) {
-                timedOut = true; // the wait alone would blow the budget
-            } else {
-                Request again = r;
-                again.attempt += 1;
-                retrySlots.push_back(again);
-                pendingRetries += 1;
-                fstats.retryAttempts += 1;
-                fstats.retryBackoffNsTotal += backoff;
-                pushEv(now + backoff, Event::Kind::Retry, 0,
-                       retrySlots.size() - 1);
-                return;
-            }
-        }
-        st.failed = true;
-        report.failed += 1;
-        if (timedOut)
-            fstats.retryTimeouts += 1;
-        else if (retry.enabled)
-            fstats.retryExhausted += 1;
-    };
-
-    // Apply one materialized fault event. Crash: both in-flight
-    // batches on the instance die — the busy counters give back the
-    // un-run remainders (so per-stage busy never exceeds the horizon),
-    // the residency union closes at the crash instant, victims route
-    // through the retry policy, and the slot stamps orphan any pending
-    // MapDone/RunDone heap entries. A batch completing at the crash
-    // instant completes: the service sweep runs before faults apply.
-    const auto applyFault = [&](const FaultEvent &f, std::uint64_t now) {
-        AccelState &a = accels[f.instance];
-        switch (f.kind) {
-          case FaultEventKind::Crash: {
-            if (a.crashed)
-                return; // overlapping outages coalesce
-            a.crashed = true;
-            fstats.crashes += 1;
-            if (a.back) {
-                const InFlight &u = *a.back;
-                fstats.failedBatches += 1;
-                if (u.doneAt > now)
-                    a.usage.backendBusyCycles -= u.doneAt - now;
-                const std::uint64_t start =
-                    std::max(u.dispatchedAt, a.coveredUntil);
-                if (now > start)
-                    a.usage.busyCycles += now - start;
-                a.coveredUntil = std::max(a.coveredUntil, now);
-                for (const auto &r : u.batch.requests)
-                    failRequest(r, f.instance, now);
-                a.back.reset();
-                a.backStamp += 1;
-            }
-            while (!a.staged.empty()) {
-                // Staged run-ahead batches mapped to completion (their
-                // map busy time is honest) and never started the
-                // back-end (nothing to give back there): only their
-                // residency closes out at the crash instant. FIFO
-                // order keeps the dispatch-order residency invariant.
-                const InFlight &u = a.staged.front();
-                fstats.failedBatches += 1;
-                const std::uint64_t start =
-                    std::max(u.dispatchedAt, a.coveredUntil);
-                if (now > start)
-                    a.usage.busyCycles += now - start;
-                a.coveredUntil = std::max(a.coveredUntil, now);
-                for (const auto &r : u.batch.requests)
-                    failRequest(r, f.instance, now);
-                a.staged.pop_front();
-            }
-            if (a.front) {
-                const InFlight &u = *a.front;
-                fstats.failedBatches += 1;
-                // An unmapped front gives back its un-run mapping; a
-                // mapped one (blocked on handoff) ran it all, and its
-                // back-end never started, so nothing else to return.
-                if (!u.mapped && u.mapDoneAt > now)
-                    a.usage.mapBusyCycles -= u.mapDoneAt - now;
-                const std::uint64_t start =
-                    std::max(u.dispatchedAt, a.coveredUntil);
-                if (now > start)
-                    a.usage.busyCycles += now - start;
-                a.coveredUntil = std::max(a.coveredUntil, now);
-                for (const auto &r : u.batch.requests)
-                    failRequest(r, f.instance, now);
-                a.front.reset();
-                a.frontStamp += 1;
-            }
-            // With the autoscaler on, a crash is a power loss: the
-            // policy sees provisioned capacity drop, and its existing
-            // spin-up path doubles as crash replacement. The crashed
-            // instance leaves the candidate pool until it recovers.
-            if (asEnabled && a.life != Life::Off) {
-                a.life = Life::Off;
-                a.lifeStamp += 1; // orphan a pending SpinUp
-                notePower(now, -1);
-            }
-            break;
-          }
-          case FaultEventKind::Recover:
-            if (!a.crashed)
-                return;
-            a.crashed = false;
-            fstats.recoveries += 1;
-            // Autoscaled fleets get the instance back as an Off pool
-            // candidate (powering it is the policy's call); static
-            // fleets resume dispatching to it immediately.
-            break;
-          case FaultEventKind::StragglerStart:
-            a.slowdown = f.factor;
-            fstats.stragglerWindows += 1;
-            break;
-          case FaultEventKind::StragglerEnd:
-            a.slowdown = 1.0;
-            break;
-        }
-    };
-
-    // Price one hold-vs-dispatch decision for a batch led by `head`.
-    // The backlog is the committed back-end work (running remainder +
-    // staged run-ahead batches) on the least-loaded accepting instance
-    // — the one the dispatch would plausibly land on; while that
-    // backlog outlasts the head's mapping, holding the front-end
-    // forfeits no overlap, so a deeper run-ahead buffer makes holding
-    // cheaper exactly when the back-end is the bottleneck.
-    const auto dispatchCostOf = [&](const Request &head,
-                                    std::uint64_t now) {
-        DispatchCost price;
-        const ClassPrice cp = priceOf(head);
-        price.weightLoadNs = cp.weightLoadNs;
-        price.mapNs = cp.mapNs;
-        price.arrivalGapNs = gapOf(head.networkId);
-        std::uint64_t backlog = kNever;
-        for (const auto &acc : accels) {
-            if (!acc.canAccept(cfg.occupancy))
-                continue;
-            std::uint64_t b = 0;
-            if (acc.back && acc.back->doneAt > now)
-                b = acc.back->doneAt - now;
-            for (const auto &s : acc.staged)
-                b += s.phases.backendCycles;
-            backlog = std::min(backlog, b);
-        }
-        price.backlogNs = backlog == kNever ? 0 : backlog;
-        return price;
-    };
-
-    const auto dispatch = [&](std::uint64_t now) {
-        // The timer mirrors the *currently outstanding* holds: every
-        // dispatch pass re-decides, so first disarm — a hold resolved
-        // by new arrivals must not leave a stale event inflating the
-        // horizon. (While no stage can accept work, stage-completion
-        // events drive re-evaluation instead.)
-        timerAt = kNever;
-        // Leaders held this pass. A hold freezes only the leader's
-        // compatibility group: its members neither lead nor join
-        // batches until the group reaches K or the deadline passes,
-        // while every other group keeps dispatching around it.
-        std::vector<Request> heldLeaders;
-        const auto inHeldGroup = [&](const Request &r) {
-            for (const auto &h : heldLeaders)
-                if (h.id == r.id || batcher.compatible(h, r))
-                    return true;
-            return false;
-        };
-        while (!queue.empty()) {
-            bool anyAccept = false;
-            for (const auto &acc : accels)
-                anyAccept = anyAccept || acc.canAccept(cfg.occupancy);
-            if (!anyAccept)
-                return;
-
-            const Request *head =
-                queue.peekEligible(cfg.policy, inHeldGroup);
-            if (head == nullptr)
-                return; // everything queued belongs to a held group
-
-            // Wait-for-K: hold this group and arm a timer instead of
-            // dispatching undersized, unless the deadline passed (or,
-            // cost-aware, unless waiting no longer pays). Held-group
-            // members are excluded from the K count just as formLedBy
-            // excludes them from the batch.
-            const BatchHold hold =
-                costAwareOn
-                    ? batcher.costAwareHold(queue, *head, now,
-                                            dispatchCostOf(*head, now),
-                                            inHeldGroup)
-                    : batcher.holdForHead(queue, *head, now,
-                                          inHeldGroup);
-            if (hold.hold) {
-                if (costAwareOn)
-                    report.costHolds += 1;
-                if (countedHolds.insert(head->id).second) {
-                    report.batchHolds += 1;
-                    report.holdTrackingPeak = std::max(
-                        report.holdTrackingPeak,
-                        static_cast<std::uint64_t>(
-                            countedHolds.size()));
-                }
-                timerAt = std::min(timerAt, hold.until);
-                heldLeaders.push_back(*head);
-                continue; // other groups may still dispatch
-            }
-
-            Batch batch =
-                batcher.formLedBy(queue, *head, cfg.policy, inHeldGroup);
-            // Hold episodes end at dispatch: dropping the members'
-            // ids keeps the dedup set bounded by queue depth however
-            // long the trace runs (a re-queued id later starts a
-            // fresh, separately counted episode).
-            if (!countedHolds.empty())
-                for (const auto &r : batch.requests)
-                    countedHolds.erase(r.id);
-            if (costAwareOn &&
-                batch.size() <
-                    std::min<std::size_t>(cfg.batcher.targetK,
-                                          cfg.batcher.maxBatchSize))
-                report.costDispatches += 1;
-            // Hedged duplicates leaving admission: leftoverQueued at
-            // the end must count only requests of record, so track how
-            // many copies are still sitting in the queue. The guard
-            // sits inside the loop: one batch can carry several hedge
-            // copies, and the counter must saturate per copy, never
-            // underflow past the copies actually counted in.
-            if (faultsOn)
-                for (const auto &r : batch.requests)
-                    if (r.hedge && hedgedInQueue > 0)
-                        hedgedInQueue -= 1;
-
-            // Classify the batch against the map cache. The batcher's
-            // extra rule keeps batches hit-pure or miss-pure; the
-            // all-of scan is the honest check of that invariant.
-            bool hitBatch = mapCache.enabled();
-            if (mapCache.enabled())
-                for (const auto &r : batch.requests)
-                    hitBatch = hitBatch && mapCache.contains(keyOf(r));
-            // Modelled cost of streaming the cached maps back, clamped
-            // below into the mapping it replaces (a hit can never be
-            // slower than the miss it avoids).
-            const std::uint64_t readCost =
-                cfg.mapCache.hitReadCycles *
-                static_cast<std::uint64_t>(batch.size());
-
-            // Place on the accepting instance that finishes soonest.
-            // Batch phases depend only on the accelerator class, so
-            // price once per class (precomputed classOf indices — the
-            // seed keyed the same memo by config-name strings; a
-            // homogeneous fleet pays a single batchPhases pass per
-            // dispatch either way). The profiled cycles convert to the
-            // ns event axis here, at this class's own clock — the one
-            // point where the per-instance cycle domain meets the
-            // global wall clock.
-            std::vector<std::optional<PhaseProfile>> classPhases(
-                fleet.size());
-            std::size_t best = accels.size();
-            std::uint64_t bestDone = kNever;
-            PhaseProfile bestPhases;
-            for (std::size_t i = 0; i < accels.size(); ++i) {
-                if (!accels[i].canAccept(cfg.occupancy))
-                    continue;
-                auto &memo = classPhases[classOf[i]];
-                if (!memo) {
-                    const PhaseProfile full = phasesToNs(
-                        model.batchPhases(fleet[i], batch),
-                        fleet[i].freqGHz);
-                    PhaseProfile ph;
-                    if (cfg.occupancy == OccupancyModel::Pipelined) {
-                        ph = full;
-                        if (hitBatch)
-                            ph.mapCycles =
-                                std::min(ph.mapCycles, readCost);
-                    } else {
-                        // Monolithic: one opaque interval — a hit
-                        // still shrinks it by the mapping it skips,
-                        // net of the clamped read cost.
-                        ph.backendCycles = full.total();
-                        if (hitBatch)
-                            ph.backendCycles -=
-                                full.mapCycles -
-                                std::min(full.mapCycles, readCost);
-                    }
-                    memo = ph;
-                }
-                PhaseProfile ph = *memo;
-                // Straggler windows stretch this instance's service
-                // time (an effective frequency derate). The exact
-                // ==1.0 comparison keeps the fault-free path free of
-                // any float round-trip — byte-identity with the
-                // reference engine depends on it.
-                if (accels[i].slowdown != 1.0) {
-                    ph.mapCycles = static_cast<std::uint64_t>(
-                        std::llround(static_cast<double>(ph.mapCycles) *
-                                     accels[i].slowdown));
-                    ph.backendCycles = static_cast<std::uint64_t>(
-                        std::llround(
-                            static_cast<double>(ph.backendCycles) *
-                            accels[i].slowdown));
-                }
-                const std::uint64_t done =
-                    estimateDone(accels[i], ph, now);
-                if (done < bestDone) {
-                    bestDone = done;
-                    best = i;
-                    bestPhases = ph;
-                }
-            }
-
-            AccelState &acc = accels[best];
-            InFlight unit;
-            unit.phases = bestPhases;
-            unit.dispatchedAt = now;
-            unit.mapDoneAt = now + bestPhases.mapCycles;
-            if (mapCache.enabled()) {
-                if (hitBatch) {
-                    // Recency/frequency and byte savings book per
-                    // member; the cycle savings book once per batch
-                    // as exactly what this dispatch skipped — the
-                    // batch-level mapping net of the clamped read
-                    // cost, priced against the instance the hit
-                    // dispatched to (on a heterogeneous fleet the
-                    // skipped mapping differs per class), in
-                    // event-axis ns.
-                    for (const auto &r : batch.requests)
-                        mapCache.recordHit(keyOf(r));
-                    const std::uint64_t batchMap =
-                        phasesToNs(model.batchPhases(fleet[best],
-                                                     batch),
-                                   fleet[best].freqGHz)
-                            .mapCycles;
-                    mapCache.creditSavedCycles(
-                        batchMap - std::min(batchMap, readCost));
-                } else {
-                    // Misses publish their maps at mapping completion;
-                    // price the entries against the chosen instance.
-                    // cloudId 0 means "no content identity" (hand-built
-                    // traces): count the miss but never publish a map
-                    // — distinct geometries must not alias one entry.
-                    for (const auto &r : batch.requests) {
-                        mapCache.recordMiss();
-                        if (r.cloudId == 0)
-                            continue;
-                        const auto p = model.profile(
-                            fleet[best], r.networkId, r.sizeBucket);
-                        unit.inserts.emplace_back(
-                            keyOf(r),
-                            MapCacheEntry{
-                                cyclesToNs(p.phases().mapCycles,
-                                           fleet[best].freqGHz),
-                                p.mapBytes});
-                    }
-                }
-            }
-            acc.usage.mapBusyCycles += bestPhases.mapCycles;
-            acc.usage.batches += 1;
-            acc.usage.requests += batch.size();
-            report.batchSize.record(static_cast<double>(batch.size()));
-            for (const auto &r : batch.requests)
-                report.queueWaitCycles.record(
-                    static_cast<double>(now - r.arrivalCycle));
-            // Hedged re-dispatch arms at first dispatch: if the
-            // original has not completed after the hedge delay, a
-            // duplicate re-enters admission and races it (tail-latency
-            // insurance against a crash or straggler eating the
-            // original). Copies live in a dedicated id range so the
-            // queue's unique-id invariant holds, and each request is
-            // hedged at most once.
-            if (retry.enabled && retry.hedgeDelayNs > 0) {
-                for (const auto &r : batch.requests) {
-                    if (r.hedge)
-                        continue;
-                    ReqFaultState &st = rstate[r.id];
-                    if (st.hedged)
-                        continue;
-                    st.hedged = true;
-                    Request copy = r;
-                    copy.id |= kHedgeIdBit;
-                    copy.hedge = true;
-                    hedgeSlots.push_back(copy);
-                    pushEv(now + retry.hedgeDelayNs, Event::Kind::Hedge,
-                           0, hedgeSlots.size() - 1);
-                }
-            }
-            unit.batch = std::move(batch);
-            acc.frontStamp += 1;
-            if (unit.mapDoneAt > now)
-                pushEv(unit.mapDoneAt, Event::Kind::MapDone,
-                       static_cast<std::uint32_t>(best), acc.frontStamp);
-            acc.front.emplace(std::move(unit));
-            // Zero-length map phases promote straight to the back-end
-            // (this is the whole dispatch in the monolithic model).
-            service(best, now);
-        }
-    };
-
-    // Is there anything left to serve or scale for? Gates the
-    // recurring autoscaler events so an idle, drained simulation
-    // terminates instead of evaluating forever (and so the reported
-    // horizon is the work's horizon, not the policy's).
-    const auto hasWork = [&]() {
-        if (!queue.empty() || source.peek() != nullptr)
-            return true;
-        if (pendingRetries > 0)
-            return true; // a scheduled retry will re-enter admission
-        for (const auto &a : accels)
-            if (a.front || a.back || !a.staged.empty())
-                return true;
-        return false;
-    };
-
-    const auto canServeAgain = [&](std::uint64_t now) {
-        for (const auto &a : accels)
-            if (!a.crashed)
-                return true;
-        return !faultEvents.empty() && faultEvents.back().atNs >= now;
-    };
-
-    // One autoscaler policy evaluation at `now`: read the windowed
-    // signals, decide, apply. Scale-up prefers resurrecting a draining
-    // instance (still powered, nothing was torn down — instantly
-    // Active) over powering a cold one, which pays spinUpCycles before
-    // accepting work. Scale-down first cancels a pending spin-up
-    // (nothing in flight to drain), else retires the highest-index
-    // Active instance gracefully: it stops accepting dispatches but
-    // finishes its pipeline (see service()'s drain completion).
-    const auto evaluateScaling = [&](std::uint64_t now) {
-        std::uint64_t windowP99 = 0;
-        if (!windowLat.empty()) {
-            const std::size_t idx =
-                (windowLat.size() * 99 + 99) / 100 - 1;
-            std::nth_element(windowLat.begin(),
-                             windowLat.begin() +
-                                 static_cast<std::ptrdiff_t>(
-                                     std::min(idx,
-                                              windowLat.size() - 1)),
-                             windowLat.end());
-            windowP99 =
-                windowLat[std::min(idx, windowLat.size() - 1)];
-        }
-        windowLat.clear();
-        const std::uint64_t depth = queue.size();
-        const int action =
-            policy.decide(now, depth, windowP99, decisionProvisioned());
-        if (action > 0) {
-            bool applied = false;
-            for (auto &a : accels) {
-                if (a.life == Life::Draining) {
-                    a.life = Life::Active; // resurrect: no power change
-                    applied = true;
-                    break;
-                }
-            }
-            if (!applied) {
-                for (std::size_t i = 0; i < accels.size(); ++i) {
-                    AccelState &a = accels[i];
-                    if (a.life != Life::Off)
-                        continue;
-                    if (a.crashed)
-                        continue; // down hardware cannot be powered on
-                    notePower(now, +1);
-                    if (asCfg.spinUpCycles == 0) {
-                        a.life = Life::Active;
-                    } else {
-                        a.life = Life::SpinningUp;
-                        a.lifeStamp += 1;
-                        pushEv(now + asCfg.spinUpCycles,
-                               Event::Kind::SpinUp,
-                               static_cast<std::uint32_t>(i),
-                               a.lifeStamp);
-                    }
-                    applied = true;
-                    break;
-                }
-            }
-            if (applied)
-                asStats.scaleUps += 1;
-        } else if (action < 0) {
-            bool applied = false;
-            for (std::size_t i = accels.size(); i-- > 0;) {
-                AccelState &a = accels[i];
-                if (a.life != Life::SpinningUp)
-                    continue;
-                a.life = Life::Off;
-                a.lifeStamp += 1; // orphan the pending SpinUp event
-                notePower(now, -1);
-                applied = true;
-                break;
-            }
-            if (!applied) {
-                for (std::size_t i = accels.size(); i-- > 0;) {
-                    AccelState &a = accels[i];
-                    if (a.life != Life::Active)
-                        continue;
-                    if (!a.front && a.staged.empty() && !a.back) {
-                        a.life = Life::Off; // idle: off immediately
-                        notePower(now, -1);
-                    } else {
-                        a.life = Life::Draining;
-                    }
-                    applied = true;
-                    break;
-                }
-            }
-            if (applied)
-                asStats.scaleDowns += 1;
-        }
-        const std::uint32_t provisioned = decisionProvisioned();
-        asStats.peakProvisioned =
-            std::max(asStats.peakProvisioned, provisioned);
-        asStats.evals += 1;
-        asStats.timeline.samples.push_back(
-            ScalingSample{now, depth, windowP99, provisioned,
-                          static_cast<std::int64_t>(action)});
-        evalGen += 1;
-        pushEv(now + asCfg.evalIntervalCycles, Event::Kind::ScaleEval,
-               0, evalGen);
-    };
-
-    // Stale-entry filter for the lazy-invalidation heap: an event is
-    // live only while the slot (or timer generation) it describes
-    // still exists unchanged.
-    const auto validEv = [&](const Event &e) {
-        switch (e.kind) {
-          case Event::Kind::MapDone: {
-            const AccelState &a = accels[e.accel];
-            return a.front.has_value() && a.frontStamp == e.stamp &&
-                   !a.front->mapped;
-          }
-          case Event::Kind::RunDone: {
-            const AccelState &a = accels[e.accel];
-            return a.back.has_value() && a.backStamp == e.stamp;
-          }
-          case Event::Kind::Timer:
-            return timerAt != kNever && e.stamp == timerGen;
-          case Event::Kind::Arrival:
-            return true;
-          case Event::Kind::ScaleEval:
-            // The recurring evaluation dies with the work: a drained,
-            // idle simulation must terminate, not tick forever. So does
-            // one whose whole fleet is down for good (every instance
-            // crashed, no fault event left to recover one): like a
-            // static fleet, it strands its backlog.
-            return asEnabled && e.stamp == evalGen && hasWork() &&
-                   canServeAgain(e.at);
-          case Event::Kind::SpinUp: {
-            const AccelState &a = accels[e.accel];
-            return a.life == Life::SpinningUp &&
-                   a.lifeStamp == e.stamp && hasWork();
-          }
-          case Event::Kind::Fault:
-            // A fault program outliving the workload must not extend
-            // the horizon: trailing crash/recover events on a drained,
-            // idle fleet are dead.
-            return hasWork();
-          case Event::Kind::Retry:
-            // Always live: pendingRetries counts it as work, and the
-            // fire handler itself drops retries a hedge already won.
-            return true;
-          case Event::Kind::Hedge: {
-            const auto it =
-                rstate.find(hedgeSlots[e.stamp].id & ~kHedgeIdBit);
-            return it != rstate.end() && !it->second.done &&
-                   !it->second.failed;
-          }
-        }
-        return false;
-    };
-
-    // Exactly one Arrival entry is outstanding: the source's next
-    // request. Draining admissions up to `clock` re-arms it.
-    bool arrivalQueued = false;
-    if (source.peek() != nullptr) {
-        pushEv(source.peek()->arrivalCycle, Event::Kind::Arrival, 0, 0);
-        arrivalQueued = true;
-    }
-    if (asEnabled) {
-        evalGen = 1;
-        pushEv(asCfg.evalIntervalCycles, Event::Kind::ScaleEval, 0,
-               evalGen);
-    }
-    // Prime the materialized fault timeline; the stamp indexes back
-    // into faultEvents (the vector is immutable once materialized).
-    for (std::size_t f = 0; f < faultEvents.size(); ++f)
-        pushEv(faultEvents[f].atNs, Event::Kind::Fault,
-               faultEvents[f].instance, f);
-
+    Run s(fleet, model, bucketScales, cfg, source);
+    auto &heap = s.events.heap;
     std::uint64_t clock = 0;
     std::vector<std::uint32_t> due;
     std::vector<std::uint64_t> faultDue;
-    while (!events.empty()) {
+    for (;;) {
         // The next event time is the first live entry's timestamp —
         // the heap's analogue of the seed loop's min() rescan over
         // every instance, the arrival cursor and the timer.
-        while (!events.empty() && !validEv(events.top()))
-            events.pop();
-        if (events.empty())
+        while (!heap.empty() && !s.events.valid(heap.top(), s))
+            heap.pop();
+        if (heap.empty())
             break; // pipelines drained, no arrivals, no pending timer
-        clock = events.top().at;
-        report.loopEvents += 1;
+        clock = heap.top().at;
+        s.report.loopEvents += 1;
 
         // Drain every entry due at `clock` (live or stale) so all
-        // same-cycle transitions are applied before dispatch decides —
-        // the seed serviced every instance per iteration for the same
-        // reason.
+        // same-cycle transitions are applied before dispatch decides;
+        // validity is judged at pop time, after every earlier entry of
+        // the tick has been applied.
         due.clear();
         faultDue.clear();
         bool evalDue = false;
-        while (!events.empty() && events.top().at <= clock) {
-            const Event e = events.top();
-            events.pop();
-            if (!validEv(e))
+        while (!heap.empty() && heap.top().at <= clock) {
+            const Event e = heap.top();
+            heap.pop();
+            if (!s.events.valid(e, s))
                 continue;
             switch (e.kind) {
-              case Event::Kind::MapDone:
-              case Event::Kind::RunDone:
+              case Kind::MapDone:
+              case Kind::RunDone:
                 due.push_back(e.accel);
                 break;
-              case Event::Kind::Timer:
+              case Kind::Timer:
                 // Nothing to apply: the dispatch pass below re-probes
                 // every hold against the clock.
                 break;
-              case Event::Kind::Arrival:
-                arrivalQueued = false;
+              case Kind::Arrival:
+                s.arrivalQueued = false;
                 break;
-              case Event::Kind::ScaleEval:
+              case Kind::ScaleEval:
                 // Applied after the service sweep so the policy sees
                 // this cycle's completions in its window.
                 evalDue = true;
                 break;
-              case Event::Kind::SpinUp:
-                // Spin-up finished: the instance starts accepting
-                // work this cycle (power was counted at the decision).
-                accels[e.accel].life = Life::Active;
+              case Kind::SpinUp:
+                // Spin-up finished: the instance accepts work this
+                // cycle (power was counted at the decision).
+                s.instances[e.accel].life = Life::Active;
                 break;
-              case Event::Kind::Fault:
+              case Kind::Fault:
                 // Deferred past the service sweep: a batch completing
-                // at the crash instant completes (deterministic rule).
+                // at the crash instant completes.
                 faultDue.push_back(e.stamp);
                 break;
-              case Event::Kind::Retry: {
-                pendingRetries -= 1;
-                const Request &rr = retrySlots[e.stamp];
-                ReqFaultState &st = rstate[rr.id];
-                if (st.done)
-                    break; // a hedge copy finished it while we waited
-                if (!queue.pushUncounted(rr)) {
-                    // Re-admission shed on a full queue is a terminal
-                    // failure, never a second `dropped` (satellite:
-                    // retries must not double-count drop accounting).
-                    st.failed = true;
-                    report.failed += 1;
-                    fstats.retryShed += 1;
-                }
+              case Kind::Retry:
+                s.faults.fireRetry(e.stamp, s.queue);
                 break;
-              }
-              case Event::Kind::Hedge: {
-                const Request &hr = hedgeSlots[e.stamp];
-                const ReqFaultState &st =
-                    rstate[hr.id & ~kHedgeIdBit];
-                if (st.done || st.failed)
-                    break; // validEv raced a same-tick completion
-                fstats.hedges += 1;
-                if (queue.pushUncounted(hr))
-                    hedgedInQueue += 1;
-                else
-                    fstats.hedgesLost += 1; // shed copy, original lives
+              case Kind::Hedge:
+                s.faults.fireHedge(e.stamp, s.queue);
                 break;
-              }
             }
         }
 
-        // Stage transitions first, in instance order (the seed's
-        // service sweep order — same-cycle completions across
-        // instances record in index order): a request arriving at the
-        // same cycle can reuse the capacity that just freed up.
+        // Stage transitions first, in instance order (same-cycle
+        // completions across instances record in index order): a
+        // request arriving this cycle can reuse the capacity that
+        // just freed up.
         std::sort(due.begin(), due.end());
         due.erase(std::unique(due.begin(), due.end()), due.end());
         for (const std::uint32_t a : due)
-            service(a, clock);
+            s.service(a, clock);
 
         // Faults land after the service sweep (same-tick completions
         // win) and before scaling/dispatch, so the policy sees the
         // capacity loss and no new work is placed on dead hardware.
         for (const std::uint64_t f : faultDue)
-            applyFault(faultEvents[f], clock);
+            s.applyFault(s.faults.timeline[f], clock);
 
         // Scale decisions land before dispatch: a zero-spin-up
         // activation serves this very cycle, and a decommissioned
         // instance stops accepting before new work is placed.
         if (evalDue)
-            evaluateScaling(clock);
+            s.scaler.evaluate(clock, s.queue.size(), s.instances,
+                              s.events);
 
         // Drain backlog onto freed stages before admitting, so a
         // same-cycle arrival is not dropped against queue space the
-        // completion just made available.
-        dispatch(clock);
-        syncTimer();
-
-        while (source.peek() != nullptr &&
-               source.peek()->arrivalCycle <= clock) {
-            Request r = source.take();
-            report.generated += 1;
-            r.estimatedCycles = estimateOf(r);
-            // The cadence tracks the offered arrival process (drops
-            // included; retries and hedges are re-admissions, not
-            // arrivals, and never pass through here).
-            if (costAwareOn)
-                noteArrival(r);
-            queue.push(r); // drop accounting lives in the queue
-        }
-        if (!arrivalQueued && source.peek() != nullptr) {
-            pushEv(source.peek()->arrivalCycle, Event::Kind::Arrival, 0,
-                   0);
-            arrivalQueued = true;
-        }
-
-        dispatch(clock);
-        syncTimer();
+        // completion just made available; then admit, and dispatch
+        // what arrived.
+        s.dispatch(clock);
+        s.admit(clock);
+        s.dispatch(clock);
     }
-
-    report.horizonCycles = clock;
-    report.admitted = queue.admitted();
-    report.dropped = queue.dropped();
-    // Hedged duplicates still in admission are not requests of record:
-    // the conservation identity admitted = completed + failed +
-    // leftoverQueued counts each request exactly once.
-    report.leftoverQueued = queue.size() - hedgedInQueue;
-    report.faults = fstats;
-    report.mapCache = mapCache.stats();
-    for (auto &acc : accels)
-        report.accelerators.push_back(acc.usage);
-    if (asEnabled) {
-        notePower(clock, 0); // close the powered-instance integral
-        asStats.enabled = true;
-        asStats.minInstances = asCfg.minInstances;
-        asStats.maxInstances = asCfg.maxInstances;
-        asStats.finalProvisioned = decisionProvisioned();
-        asStats.timeline.bucketCycles = asCfg.evalIntervalCycles;
-        report.autoscaler = std::move(asStats);
-    }
-    return report;
+    return s.finish(clock);
 }
 
 } // namespace pointacc

@@ -23,6 +23,18 @@
  * heterogeneous fleet naturally prefers the server-class instance and
  * spills to edge-class ones under load).
  *
+ * Structure (scheduler.cpp; docs/ARCHITECTURE.md "The event loop"):
+ * four file-local parts, each a concrete struct called directly. An
+ * Instance owns one accelerator's pipeline slots, run-ahead staging
+ * FIFO, stamps and usage counters, with the stage cascade, back-end
+ * start, completion estimate and crash teardown. The FaultBook owns
+ * the fault timeline, per-request fault state, retry and hedge slots
+ * and FaultStats. The Scaler owns the autoscaler policy, its stats,
+ * the powered-instance integral and the latency window. The
+ * EventCore owns the heap, the wait-for-K timer and the stale-entry
+ * filter. run() is the loop over them: pop what is due, service the
+ * instances, apply faults, scale, dispatch, admit, dispatch.
+ *
  * Each instance is modeled as the two decoupled resources PointAcc
  * actually has (Section 5 of the paper): a Mapping Unit front-end and
  * a Matrix Unit + memory back-end. A batch first occupies the front
@@ -240,6 +252,8 @@ class ServiceModel
 class SimServiceModel : public ServiceModel
 {
   public:
+    /** @throws std::invalid_argument on a catalog without networks
+     *          or size buckets, or with a non-positive bucket scale */
     explicit SimServiceModel(ServingCatalog catalog);
 
     const ServingCatalog &catalog() const { return cat; }
@@ -339,6 +353,10 @@ class FleetScheduler
      * @param model          service-time oracle (outlives the scheduler)
      * @param bucket_scales  the catalog's size buckets (batcher rule)
      * @param config         queue/batch policy knobs
+     * @throws std::invalid_argument on an empty fleet, runAheadDepth
+     *         < 1, a non-positive clock, same-name members with
+     *         different configs, or a malformed autoscaler, fault,
+     *         retry or batcher config
      */
     FleetScheduler(std::vector<AcceleratorConfig> fleet,
                    const ServiceModel &model,

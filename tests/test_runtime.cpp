@@ -840,6 +840,30 @@ TEST(FleetScheduler, ConstructorRejectsBadBatcherConfig)
                  std::invalid_argument);
 }
 
+TEST(FleetScheduler, ConstructorRejectsBadFleetsAndDepths)
+{
+    // Each fleet rule throws instead of exiting the process.
+    const FixedServiceModel model(10'000);
+    EXPECT_THROW(FleetScheduler({}, model, {1.0}), std::invalid_argument);
+
+    SchedulerConfig depth0;
+    depth0.runAheadDepth = 0;
+    EXPECT_THROW(FleetScheduler({pointAccConfig()}, model, {1.0}, depth0),
+                 std::invalid_argument);
+
+    auto stopped = pointAccConfig();
+    stopped.freqGHz = 0.0;
+    EXPECT_THROW(FleetScheduler({stopped}, model, {1.0}),
+                 std::invalid_argument);
+
+    // Same name, different cost-driving fields: the per-name price
+    // memos would silently share wrong prices.
+    auto wider = pointAccConfig();
+    wider.mxu.cols *= 2;
+    EXPECT_THROW(FleetScheduler({pointAccConfig(), wider}, model, {1.0}),
+                 std::invalid_argument);
+}
+
 TEST(FleetScheduler, ConservationUnderOverload)
 {
     const FixedServiceModel model(10'000);
@@ -1122,12 +1146,12 @@ TEST(Batcher, HoldForWaitsUntilKOrTimeout)
     q.push(r0);
 
     // One of three wanted, inside the window: hold until arrival+wait.
-    auto hold = batcher.holdFor(q, QueuePolicy::Fifo, 20);
+    auto hold = batcher.holdForHead(q, q.peek(QueuePolicy::Fifo), 20);
     EXPECT_TRUE(hold.hold);
     EXPECT_EQ(hold.until, 110u);
 
     // Window expired: dispatch undersized.
-    hold = batcher.holdFor(q, QueuePolicy::Fifo, 110);
+    hold = batcher.holdForHead(q, q.peek(QueuePolicy::Fifo), 110);
     EXPECT_FALSE(hold.hold);
 
     // Incompatible requests do not count toward K.
@@ -1137,13 +1161,13 @@ TEST(Batcher, HoldForWaitsUntilKOrTimeout)
     auto third = makeRequest(2, 16);
     third.networkId = 7;
     q.push(third);
-    hold = batcher.holdFor(q, QueuePolicy::Fifo, 30);
+    hold = batcher.holdForHead(q, q.peek(QueuePolicy::Fifo), 30);
     EXPECT_TRUE(hold.hold);
 
     // K compatible requests queued: dispatch immediately.
     q.push(makeRequest(3, 17));
     q.push(makeRequest(4, 18));
-    hold = batcher.holdFor(q, QueuePolicy::Fifo, 30);
+    hold = batcher.holdForHead(q, q.peek(QueuePolicy::Fifo), 30);
     EXPECT_FALSE(hold.hold);
 
     // Excluded requests (members of other held groups) never count
@@ -1156,7 +1180,7 @@ TEST(Batcher, HoldForWaitsUntilKOrTimeout)
     // Immediate-mode batcher (targetK == 1) never holds.
     BatcherConfig immediate;
     const Batcher eager(immediate, {1.0});
-    EXPECT_FALSE(eager.holdFor(q, QueuePolicy::Fifo, 0).hold);
+    EXPECT_FALSE(eager.holdForHead(q, q.peek(QueuePolicy::Fifo), 0).hold);
 }
 
 TEST(Batcher, HoldDeadlineAnchorsAtOldestGroupMember)
@@ -1174,12 +1198,12 @@ TEST(Batcher, HoldDeadlineAnchorsAtOldestGroupMember)
     q.push(makeRequest(1, 90, 100)); // short job, now the SJF head
     ASSERT_EQ(q.peek(QueuePolicy::Sjf).id, 1u);
 
-    const auto hold = batcher.holdFor(q, QueuePolicy::Sjf, 95);
+    const auto hold = batcher.holdForHead(q, q.peek(QueuePolicy::Sjf), 95);
     EXPECT_TRUE(hold.hold);
     EXPECT_EQ(hold.until, 100u); // oldest arrival 0 + 100, not 190
 
     // Past the oldest member's deadline: dispatch undersized.
-    EXPECT_FALSE(batcher.holdFor(q, QueuePolicy::Sjf, 100).hold);
+    EXPECT_FALSE(batcher.holdForHead(q, q.peek(QueuePolicy::Sjf), 100).hold);
 }
 
 TEST(FleetScheduler, WaitForKCoalescesSpreadArrivals)
@@ -2128,6 +2152,22 @@ TEST(SimServiceModel, ProfilesAndBatchesAgainstRealSimulator)
     const auto cycles = model.batchServiceCycles(cfg, batch);
     EXPECT_GE(cycles, p.totalCycles);
     EXPECT_LE(cycles, 3 * p.totalCycles);
+}
+
+TEST(SimServiceModel, RejectsMalformedCatalogs)
+{
+    ServingCatalog noNetworks;
+    noNetworks.bucketScales = {1.0};
+    EXPECT_THROW(SimServiceModel{noNetworks}, std::invalid_argument);
+
+    ServingCatalog noBuckets;
+    noBuckets.networks = {pointNet()};
+    EXPECT_THROW(SimServiceModel{noBuckets}, std::invalid_argument);
+
+    ServingCatalog badScale;
+    badScale.networks = {pointNet()};
+    badScale.bucketScales = {1.0, 0.0};
+    EXPECT_THROW(SimServiceModel{badScale}, std::invalid_argument);
 }
 
 TEST(SimServiceModel, EndToEndServingRunIsConsistent)
