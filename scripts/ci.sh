@@ -3,8 +3,8 @@
 # the serving-runtime subsystem (src/runtime/ is new code held to a
 # stricter bar than the seed sources), the Release-only scale tier and
 # simulator-performance floor gate (bench_simperf), one-run
-# serve-steady and serve-overload smokes of the repository benchmark
-# (perfbench), the capacity-
+# serve-steady, serve-overload and plan-cold smokes of the repository
+# benchmark (perfbench), the capacity-
 # planner gate (bench_serving --sweep plan: planner pick must equal
 # exhaustive search with strictly fewer probes), the heterogeneous
 # lattice gate (bench_serving --sweep hetero: watt-budgeted server +
@@ -118,6 +118,19 @@ python3 perfbench/run.py --workload serve-overload --seed 0 --seconds 1 \
 import json, sys
 result = json.loads(sys.stdin.read())
 print("perfbench serve-overload correct:", result["correct"])
+sys.exit(0 if result["correct"] is True else 1)'
+
+# Repository-benchmark smoke of the planner -> scheduler path: one
+# plan-cold run (a full capacity plan over a 40-point grid on a fresh
+# SimServiceModel, 2 threads) must report "correct": true, which
+# requires the 2-thread PlanReport to equal the serial one besides the
+# canonical digest. About 13 s on a warm build (4 cores).
+echo "== perfbench plan-cold smoke =="
+python3 perfbench/run.py --workload plan-cold --seed 0 --seconds 1 \
+    --trace 0 | tail -n 1 | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+print("perfbench plan-cold correct:", result["correct"])
 sys.exit(0 if result["correct"] is True else 1)'
 
 # Capacity-planner gate: on a quick grid the planner's pick must equal
