@@ -44,9 +44,12 @@
  * single 10^5-request row with no floor gate (CI's sanitized stage,
  * where wall-clock floors would measure ASan, not the simulator).
  * docs/PERFORMANCE.md explains how to read the output and when to
- * move the floor.
+ * move the floor. Exit codes: 0 when every gate holds, 1 when one is
+ * violated or the JSON cannot be written, 2 on an unknown argument or
+ * a non-numeric `--threads`.
  */
 
+#include <cctype>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -315,10 +318,19 @@ main(int argc, char **argv)
             quick = true;
         else if (std::strcmp(argv[i], "--smoke") == 0)
             smoke = true;
-        else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-            threadsArg = static_cast<std::size_t>(
-                std::strtoul(argv[++i], nullptr, 10));
-        else {
+        else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
+            const char *value = argv[++i];
+            char *end = nullptr;
+            threadsArg = std::strtoul(value, &end, 10);
+            if (!std::isdigit(static_cast<unsigned char>(value[0])) ||
+                *end != '\0') {
+                std::fprintf(stderr,
+                             "error: --threads needs a non-negative "
+                             "integer, got '%s'\n",
+                             value);
+                return 2;
+            }
+        } else {
             std::fprintf(stderr,
                          "error: unknown argument '%s' (expected "
                          "--json <path>, --no-json, --quick, --smoke, "
@@ -531,11 +543,12 @@ main(int argc, char **argv)
         w.endObject();
         jf << '\n';
         jf.flush();
-        if (jf.good())
-            std::printf("wrote %s\n", jsonPath.c_str());
-        else
+        if (!jf.good()) {
             std::fprintf(stderr, "error: could not write %s\n",
                          jsonPath.c_str());
+            return 1;
+        }
+        std::printf("wrote %s\n", jsonPath.c_str());
     }
     return ok ? 0 : 1;
 }

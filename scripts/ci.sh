@@ -133,51 +133,45 @@ result = json.loads(sys.stdin.read())
 print("perfbench plan-cold correct:", result["correct"])
 sys.exit(0 if result["correct"] is True else 1)'
 
-# Capacity-planner gate: on a quick grid the planner's pick must equal
-# the exhaustive-search optimum while spending strictly fewer probes
-# (within the probe budget). Opt-in sweep, so it gets its own
-# invocation and its own JSON. --threads 4 turns on speculative
-# probing, and the bench's differential gate re-plans serially and
-# requires byte-identical plan JSON.
-"${BUILD_DIR}/bench_serving" --sweep plan --quick --threads 4 \
-    --json "${BUILD_DIR}/BENCH_serving_plan.json"
+# Opt-in sweep gates, one invocation and one JSON each (`all` does not
+# include them). --threads 4 turns on speculative probing and pooled
+# rows; every byte-identity gate then pins parallel output to serial.
+#  - plan: the planner's pick on a quick grid must equal the
+#    exhaustive-search optimum with strictly fewer probes (within the
+#    probe budget), and a serial re-plan must give byte-identical plan
+#    JSON.
+#  - hetero: a watt-budgeted server + edge composition plan. The
+#    budget must bind, the lattice pick must equal the exhaustive
+#    lattice optimum with strictly fewer probes, the plan must equal a
+#    serial re-plan byte for byte, and a mixed-class fleet at uniform
+#    1 GHz must serve byte-identically to the frozen cycle-domain
+#    reference engine (the ns-axis identity gate).
+#  - traffic: a static plan vs the reactive autoscaler over a
+#    flash-crowd program. The static fleet must hold the SLO through
+#    the spike; the autoscaler must scale, converge after the crowd
+#    passes, conserve requests and save instance-cycles. (Its rows
+#    are independent of the thread count: the quick JSON is identical
+#    serial and at --threads 4.)
+#  - faults: crash / straggler / MTBF / hedged scenarios with retries,
+#    empty-program byte-identity with the frozen reference, extended
+#    conservation (admitted = completed + failed + leftover, goodput
+#    <= throughput) on every row, and the availability plan: a
+#    mid-horizon crash in the search space must buy a spare, the
+#    nominal fleet must miss the SLO under that crash, and the
+#    availability fleet must hold it.
+#  - runahead: cost-aware hold-vs-dispatch must dominate pure-eager
+#    and pure-hold at the capacity knee, the k=1/2/4 mapped-output
+#    buffer ladder must be monotone, and depth 1 with pricing off must
+#    serve byte-identically to the frozen reference engine.
+for sweep in plan hetero traffic faults runahead; do
+    "${BUILD_DIR}/bench_serving" --sweep "${sweep}" --quick --threads 4 \
+        --json "${BUILD_DIR}/BENCH_serving_${sweep}.json"
+done
 
-# Heterogeneous-lattice gate: plan a watt-budgeted server + edge
-# composition under the watts objective. The budget must actually
-# bind, the lattice pick must equal the exhaustive lattice optimum
-# with strictly fewer probes, a --threads 4 plan must serialize
-# byte-identically to a serial re-plan, and a mixed-class fleet at
-# uniform 1 GHz must serve byte-identically to the frozen
-# cycle-domain reference engine (the ns-axis identity gate).
-"${BUILD_DIR}/bench_serving" --sweep hetero --quick --threads 4 \
-    --json "${BUILD_DIR}/BENCH_serving_hetero.json"
-
-# Closed-loop traffic gate: plan a static fleet for a flash-crowd
-# traffic program, then serve the same program reactively with the
-# autoscaler. The static fleet must hold the SLO through the spike;
-# the autoscaler must actually scale, converge after the crowd passes,
-# conserve requests, and save instance-cycles vs static provisioning.
-"${BUILD_DIR}/bench_serving" --sweep traffic --quick \
-    --json "${BUILD_DIR}/BENCH_serving_traffic.json"
-
-# Fault-injection gate: crash / straggler / MTBF / hedged scenarios
-# with retries, the empty-program byte-identity check against the
-# frozen reference engine, extended conservation (admitted =
-# completed + failed + leftover, goodput <= throughput) on every row,
-# and the availability plan: replanning with a mid-horizon crash in
-# the search space must pay for a spare, the nominal fleet must miss
-# the SLO under that crash, and the availability fleet must hold it.
-"${BUILD_DIR}/bench_serving" --sweep faults --quick --threads 4 \
-    --json "${BUILD_DIR}/BENCH_serving_faults.json"
-
-# Run-ahead gate: the cost-aware hold-vs-dispatch policy must dominate
-# both blind endpoints of the hold spectrum (pure-eager and pure-hold)
-# at the capacity knee, the k=1/2/4 mapped-output-buffer ladder must
-# be monotone (throughput never drops, p99 never rises), and depth 1
-# with pricing off must serve byte-identically to the frozen reference
-# engine.
-"${BUILD_DIR}/bench_serving" --sweep runahead --quick --threads 4 \
-    --json "${BUILD_DIR}/BENCH_serving_runahead.json"
+# Argument hygiene: a typoed flag must fail the run with exit 2, never
+# silently run the default sweeps and pass.
+rc=0; "${BUILD_DIR}/bench_serving" --bogus 2>/dev/null || rc=$?
+[ "${rc}" -eq 2 ] || { echo "error: --bogus exited ${rc}, not 2"; exit 1; }
 
 # Schema-doc check: every JSON key writeServingJson and writePlanJson
 # emit must be documented (in backticks) in docs/SERVING_JSON.md, so
@@ -227,39 +221,22 @@ ctest --test-dir "${SAN_BUILD_DIR}" --output-on-failure -j "${JOBS}" \
 # (a sanitized floor would measure the sanitizer, not the simulator).
 "${SAN_BUILD_DIR}/bench_simperf" --smoke --no-json
 
-# Sanitized 2-probe smoke of the capacity planner: a 1-combo, 2-size
-# exhaustive micro-grid through the full plan/probe/JSON path under
-# ASan+UBSan (the unsanitized plan gate above already enforced search
-# quality).
-"${SAN_BUILD_DIR}/bench_serving" --sweep plan --smoke --no-json
-
-# Sanitized smoke of the heterogeneous lattice: a tiny two-kind
-# composition grid through the exhaustive lattice search, the
-# composition JSON and the mixed-fleet 1 GHz identity check under
-# ASan+UBSan (the unsanitized hetero gate above enforced search
-# quality and the probe budget).
-"${SAN_BUILD_DIR}/bench_serving" --sweep hetero --smoke --no-json
-
-# Sanitized smoke of the traffic/autoscaler closed loop: a short
-# flash-crowd program through planning, the piecewise-rate stream,
-# scaling events and graceful drain under ASan+UBSan (structural
-# checks only; the unsanitized traffic gate above enforced the SLO
-# and savings acceptance).
-"${SAN_BUILD_DIR}/bench_serving" --sweep traffic --smoke --no-json
-
-# Sanitized smoke of fault injection: short-horizon crash / straggler
-# / MTBF / hedge scenarios through the kill/retry/hedge event paths,
-# the busy-counter give-backs and the fault JSON block under
-# ASan+UBSan (structural plan checks only; the unsanitized faults
-# gate above enforced the availability outcome).
-"${SAN_BUILD_DIR}/bench_serving" --sweep faults --smoke --no-json
-
-# Sanitized smoke of run-ahead + cost-aware dispatch: short-horizon
-# trio and depth-ladder rows through the staged-buffer cascade, the
-# priced hold path and the reference byte-identity check under
-# ASan+UBSan (structural checks only; the unsanitized runahead gate
-# above enforced dominance).
-"${SAN_BUILD_DIR}/bench_serving" --sweep runahead --smoke --no-json
+# Sanitized smokes of the five opt-in sweeps under ASan+UBSan: each
+# shrinks its sweep to structural checks (the unsanitized gates above
+# enforced search quality, SLO and dominance outcomes).
+#  - plan: a 1-combo, 2-size exhaustive micro-grid through the full
+#    plan/probe/JSON path;
+#  - hetero: a tiny two-kind lattice through the exhaustive lattice
+#    search, the composition JSON and the 1 GHz identity check;
+#  - traffic: a short flash-crowd program through planning, the
+#    piecewise-rate stream, scaling events and graceful drain;
+#  - faults: short crash / straggler / MTBF / hedge scenarios through
+#    the kill/retry/hedge event paths and the fault JSON block;
+#  - runahead: trio and depth-ladder rows through the staged-buffer
+#    cascade, the priced hold path and the reference identity check.
+for sweep in plan hetero traffic faults runahead; do
+    "${SAN_BUILD_DIR}/bench_serving" --sweep "${sweep}" --smoke --no-json
+done
 
 # TSan pass over the threaded paths: the executor unit suite (steal
 # races, exception propagation, nested get, destructor drain), the

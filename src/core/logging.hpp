@@ -2,10 +2,13 @@
  * @file
  * Minimal gem5-style status/error helpers.
  *
- * fatal()  — the *user's* fault (bad configuration); exits cleanly.
  * panic()  — the *simulator's* fault (internal invariant broken); aborts.
  * warn()   — something works but is suspicious.
  * inform() — status messages.
+ *
+ * There is no helper for the *user's* fault (a bad configuration or
+ * input): library validators throw std::invalid_argument instead, so
+ * the library never exits its host process.
  */
 
 #ifndef POINTACC_CORE_LOGGING_HPP
@@ -16,13 +19,6 @@
 #include <string>
 
 namespace pointacc {
-
-[[noreturn]] inline void
-fatal(const std::string &msg)
-{
-    std::fprintf(stderr, "fatal: %s\n", msg.c_str());
-    std::exit(1);
-}
 
 [[noreturn]] inline void
 panic(const std::string &msg)

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 
@@ -229,38 +230,48 @@ enumerateRays(const PlanSearchSpace &space)
     }
 }
 
+/** The one validation path for plan inputs, run by every plan entry
+ *  point before any probe.
+ *  @throws std::invalid_argument on an empty axis, a run-ahead depth
+ *          of 0, an empty or inverted fleet range, a watts/price
+ *          objective or cost budget without kinds, an inverted kind
+ *          range, a non-positive unit cost, or a lattice that cannot
+ *          field an instance */
 void
 validate(const SloSpec &, const PlanSearchSpace &space)
 {
+    const auto reject = [](const char *why) {
+        throw std::invalid_argument(why);
+    };
     if (space.policies.empty() || space.batchers.empty() ||
         space.mapCacheOptions.empty() || space.runAheadDepths.empty())
-        fatal("plan search space axes must be non-empty");
+        reject("plan search space axes must be non-empty");
     for (const std::uint32_t depth : space.runAheadDepths)
         if (depth < 1)
-            fatal("plan run-ahead depths must be >= 1");
+            reject("plan run-ahead depths must be >= 1");
     if (space.kinds.empty()) {
         if (space.minFleetSize == 0)
-            fatal("plan search space needs minFleetSize >= 1");
+            reject("plan search space needs minFleetSize >= 1");
         if (space.maxFleetSize < space.minFleetSize)
-            fatal("plan search space needs maxFleetSize >= minFleetSize");
+            reject("plan search space needs maxFleetSize >= minFleetSize");
         if (space.objective != PlanObjective::Instances)
-            fatal("watts/price objectives need a non-empty kind list");
+            reject("watts/price objectives need a non-empty kind list");
         if (space.maxCostBudget > 0.0)
-            fatal("a cost budget needs a non-empty kind list");
+            reject("a cost budget needs a non-empty kind list");
         return;
     }
     std::size_t sumMax = 0;
     for (std::size_t k = 0; k < space.kinds.size(); ++k) {
         const InstanceKindSpec &kind = space.kinds[k];
         if (kind.maxCount < kind.minCount)
-            fatal("plan kind needs maxCount >= minCount");
+            reject("plan kind needs maxCount >= minCount");
         sumMax += kind.maxCount;
         if (!(unitCost(space, k) > 0.0))
-            fatal("plan kinds need a positive unit cost under the "
-                  "active objective");
+            reject("plan kinds need a positive unit cost under the "
+                   "active objective");
     }
     if (sumMax == 0)
-        fatal("plan kind lattice cannot field any instance");
+        reject("plan kind lattice cannot field any instance");
 }
 
 } // namespace

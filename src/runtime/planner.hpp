@@ -335,7 +335,11 @@ class CapacityPlanner
     const PlannerConfig &config() const { return cfg; }
 
     /** Gallop + bisect + verify (see file header). Deterministic:
-     *  equal inputs give byte-identical reports. */
+     *  equal inputs give byte-identical reports.
+     *  @throws std::invalid_argument on a malformed search space
+     *          (empty axis, depth 0, bad fleet or kind range, cost
+     *          objective or budget without kinds) — as do the two
+     *          overloads below, before any probe runs. */
     PlanReport plan(const WorkloadSpec &workload, const SloSpec &slo,
                     const PlanSearchSpace &space) const;
 

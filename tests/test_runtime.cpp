@@ -2020,6 +2020,62 @@ TEST(CapacityPlanner, InfeasibleSpaceIsReportedNotInvented)
     EXPECT_LE(report.probesSpent, report.exhaustiveProbes);
 }
 
+TEST(CapacityPlanner, RejectsMalformedSearchSpacesWithoutExiting)
+{
+    const FixedServiceModel model(1000);
+    const TablePlanner planner(model, std::vector<bool>(9, true));
+    const auto plan = [&](const PlanSearchSpace &space) {
+        return planner.plan(plannerSpec(), p99Slo(1000), space);
+    };
+
+    PlanSearchSpace emptyAxis = fleetOnlySpace(4);
+    emptyAxis.policies.clear();
+    EXPECT_THROW(plan(emptyAxis), std::invalid_argument);
+
+    PlanSearchSpace zeroDepth = fleetOnlySpace(4);
+    zeroDepth.runAheadDepths = {1, 0};
+    EXPECT_THROW(plan(zeroDepth), std::invalid_argument);
+
+    PlanSearchSpace zeroFloor = fleetOnlySpace(4);
+    zeroFloor.minFleetSize = 0;
+    EXPECT_THROW(plan(zeroFloor), std::invalid_argument);
+
+    PlanSearchSpace inverted = fleetOnlySpace(2);
+    inverted.minFleetSize = 3;
+    EXPECT_THROW(plan(inverted), std::invalid_argument);
+
+    PlanSearchSpace wattsNoKinds = fleetOnlySpace(4);
+    wattsNoKinds.objective = PlanObjective::Watts;
+    EXPECT_THROW(plan(wattsNoKinds), std::invalid_argument);
+
+    PlanSearchSpace budgetNoKinds = fleetOnlySpace(4);
+    budgetNoKinds.maxCostBudget = 10.0;
+    EXPECT_THROW(plan(budgetNoKinds), std::invalid_argument);
+
+    PlanSearchSpace invertedKind;
+    invertedKind.kinds = {{pointAccConfig(), 0.0, 1.0, 3, 1}};
+    EXPECT_THROW(plan(invertedKind), std::invalid_argument);
+
+    PlanSearchSpace freeKind;
+    freeKind.objective = PlanObjective::Price;
+    freeKind.kinds = {{pointAccConfig(), 0.0, 0.0, 0, 2}};
+    EXPECT_THROW(plan(freeKind), std::invalid_argument);
+
+    PlanSearchSpace emptyLattice;
+    emptyLattice.kinds = {{pointAccConfig(), 0.0, 1.0, 0, 0}};
+    EXPECT_THROW(plan(emptyLattice), std::invalid_argument);
+
+    // The other entry points share the validation path, and nothing
+    // was probed on the way to any rejection.
+    EXPECT_THROW(planner.planExhaustive(plannerSpec(), p99Slo(1000),
+                                        emptyLattice),
+                 std::invalid_argument);
+    EXPECT_THROW(planner.plan(flashCrowdProgram(plannerSpec(), 2.0, 0.3, 0.2),
+                              p99Slo(1000), emptyLattice),
+                 std::invalid_argument);
+    EXPECT_TRUE(planner.probedSizes.empty());
+}
+
 TEST(CapacityPlanner, PassOnlyAtASizeTheGallopSkippedIsStillFound)
 {
     const FixedServiceModel model(1000);
