@@ -98,7 +98,8 @@
  * `--smoke` applies to the opt-in sweeps only. Exit codes: 0 when
  * every gate of the sweeps that ran holds, 1 when one is violated or
  * the JSON cannot be written, 2 on an unknown argument or sweep name,
- * a non-numeric `--threads`, or `--smoke` on a sweep without one.
+ * a non-numeric `--threads` or one above ProbeExecutor::kMaxThreads,
+ * or `--smoke` on a sweep without one.
  *
  * `--threads N` (default 1 = serial, 0 = one per hardware thread)
  * runs each sweep's scenario matrix on a work-stealing ProbeExecutor
@@ -125,6 +126,7 @@
 #include <fstream>
 #include <functional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -944,7 +946,7 @@ sweepTraffic(const Ctx &c)
     ac.p99HighCycles = 2 * slo.maxP99Cycles;
     ac.spinUpCycles = 2 * ac.evalIntervalCycles;
     ac.cooldownCycles = 2 * ac.evalIntervalCycles;
-    TrafficStream stream(program);
+    WorkloadStream stream(program);
     ServingReport autoRep =
         FleetScheduler(fleet, c.model, scales, autoCfg).run(stream);
     autoRep.traffic = stream.telemetry();
@@ -1422,6 +1424,13 @@ main(int argc, char **argv)
             return 2;
         }
     }
+    std::size_t poolThreads = 0;
+    try {
+        poolThreads = ProbeExecutor::resolveThreads(threadsArg);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "error: --threads: %s\n", e.what());
+        return 2;
+    }
     std::vector<const Sweep *> selected;
     std::vector<std::string> names, smokeNames;
     for (const Sweep &s : kSweeps) {
@@ -1464,8 +1473,6 @@ main(int argc, char **argv)
     // declaration order — the table and the JSON cannot tell serial
     // from parallel apart. The model's profiling memo is internally
     // synchronized (first profiler wins, everyone reads one value).
-    const std::size_t poolThreads =
-        ProbeExecutor::resolveThreads(threadsArg);
     ProbeExecutor pool(poolThreads);
     std::printf("threads: %zu (%s)\n", poolThreads,
                 poolThreads == 0 ? "serial, inline"
@@ -1528,12 +1535,18 @@ main(int argc, char **argv)
     const std::uint64_t maxTriples =
         classes * static_cast<std::uint64_t>(catalog.networks.size()) *
         static_cast<std::uint64_t>(catalog.bucketScales.size());
+    // Planner probes are not rows: a row-less run names no row count.
+    const std::string acrossRows =
+        run.rows.empty()
+            ? ""
+            : " across " + std::to_string(run.rows.size()) + " rows";
     SweepResult memo;
     memo.gate(model.profiledRuns() <= maxTriples,
               "profiling memoization: %llu simulator runs for <= %llu "
-              "distinct triples across %zu rows",
+              "distinct triples%s",
               static_cast<unsigned long long>(model.profiledRuns()),
-              static_cast<unsigned long long>(maxTriples), run.rows.size());
+              static_cast<unsigned long long>(maxTriples),
+              acrossRows.c_str());
     bool ok = true;
     for (const std::vector<Gate> *gates : {&memo.gates, &run.gates})
         for (const Gate &g : *gates) {

@@ -45,8 +45,8 @@
  * where wall-clock floors would measure ASan, not the simulator).
  * docs/PERFORMANCE.md explains how to read the output and when to
  * move the floor. Exit codes: 0 when every gate holds, 1 when one is
- * violated or the JSON cannot be written, 2 on an unknown argument or
- * a non-numeric `--threads`.
+ * violated or the JSON cannot be written, 2 on an unknown argument,
+ * a non-numeric `--threads` or one above ProbeExecutor::kMaxThreads.
  */
 
 #include <cctype>
@@ -56,6 +56,7 @@
 #include <functional>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -340,12 +341,18 @@ main(int argc, char **argv)
         }
     }
 
+    std::size_t poolThreads = 0;
+    try {
+        poolThreads = ProbeExecutor::resolveThreads(threadsArg);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "error: --threads: %s\n", e.what());
+        return 2;
+    }
+
     bench::banner("Simulator performance: the discrete-event core itself",
                   "runtime/ subsystem (beyond the paper)");
 
     const TableServiceModel model;
-    const std::size_t poolThreads =
-        ProbeExecutor::resolveThreads(threadsArg);
     ProbeExecutor pool(poolThreads);
     std::printf("threads: %zu (%s)\n", poolThreads,
                 poolThreads == 0 ? "serial, inline"

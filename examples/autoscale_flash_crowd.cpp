@@ -115,7 +115,7 @@ main()
         2 * autoCfg.autoscaler.evalIntervalCycles;
 
     FleetScheduler autoSched(pool, model, catalog.bucketScales, autoCfg);
-    TrafficStream stream(program);
+    WorkloadStream stream(program);
     ServingReport autoRep = autoSched.run(stream);
     autoRep.traffic = stream.telemetry();
 

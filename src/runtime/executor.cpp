@@ -22,6 +22,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
+#include <string>
 
 namespace pointacc {
 
@@ -60,6 +62,10 @@ ProbeExecutor::defaultThreads()
 std::size_t
 ProbeExecutor::resolveThreads(std::size_t requested)
 {
+    if (requested > kMaxThreads)
+        throw std::invalid_argument(
+            "thread count " + std::to_string(requested) +
+            " exceeds the limit of " + std::to_string(kMaxThreads));
     const std::size_t n = requested == 0 ? defaultThreads() : requested;
     // One thread of parallelism is just the caller: inline mode.
     return n <= 1 ? 0 : n;

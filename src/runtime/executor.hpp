@@ -78,8 +78,14 @@ class ProbeExecutor
      *  hardware_concurrency, floored at 1. */
     static std::size_t defaultThreads();
 
+    /** Largest worker count resolveThreads accepts: far above any
+     *  useful probe parallelism, far below what a typoed knob could
+     *  ask the operating system for. */
+    static constexpr std::size_t kMaxThreads = 1024;
+
     /** Resolve a --threads style knob: 0 = auto (defaultThreads()),
-     *  1 = serial inline mode, N = N workers. */
+     *  1 = serial inline mode, N = N workers.
+     *  @throws std::invalid_argument when requested > kMaxThreads */
     static std::size_t resolveThreads(std::size_t requested);
 
     std::size_t threadCount() const { return workers.size(); }

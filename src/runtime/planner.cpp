@@ -10,7 +10,6 @@
 
 #include "core/logging.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/traffic.hpp"
 
 namespace pointacc {
 
@@ -334,18 +333,6 @@ struct CapacityPlanner::Search
     /** Speculative probes in flight, keyed like the memo. */
     std::map<Key, ProbeExecutor::Future<ProbeMetrics>> inflight;
 
-    Search(const CapacityPlanner &planner_, const WorkloadSpec &workload,
-           const SloSpec &slo_, const PlanSearchSpace &space_)
-        : planner(planner_), slo(slo_), space(space_),
-          combos(enumerateCombos(space_)), rays(enumerateRays(space_)),
-          unit0(unitCost(space_, 0)),
-          trace(WorkloadGenerator(workload).generate()),
-          executor(ProbeExecutor::resolveThreads(planner_.cfg.threads))
-    {
-    }
-
-    /** Same search over a pre-materialized trace (the traffic-program
-     *  entry point shares one trace across every probe). */
     Search(const CapacityPlanner &planner_, std::vector<Request> trace_,
            const SloSpec &slo_, const PlanSearchSpace &space_)
         : planner(planner_), slo(slo_), space(space_),
@@ -616,46 +603,81 @@ struct CapacityPlanner::Search
         return candidate;
     }
 
-    /** Assemble the report: smallest objective cost wins, ties broken
-     *  by total instance count and then enumeration order (combo-major,
-     *  then ray); margins against the active constraints. */
-    PlanReport
-    finish(const std::vector<std::vector<std::optional<std::size_t>>>
-               &per_combo_ray,
-           bool monotone)
+    /** The exhaustive oracle's ray: probe every point; the first pass
+     *  is the cheapest, and a fail above any pass clears `monotone`
+     *  (the full ray judges per-ray monotonicity exactly). */
+    std::optional<std::size_t>
+    scanRay(std::size_t combo_index, std::size_t ray_index,
+            bool &monotone)
     {
+        const LatticeRay &ray = rays[ray_index];
+        std::optional<std::size_t> cheapest;
+        bool seenPass = false;
+        for (std::size_t s = ray.lo; s <= ray.hi; ++s) {
+            const bool pass = probeAt(combo_index, ray_index, s).meetsSlo;
+            if (pass && !cheapest)
+                cheapest = s;
+            if (seenPass && !pass)
+                monotone = false;
+            seenPass = seenPass || pass;
+        }
+        return cheapest;
+    }
+
+    /**
+     * The one search body over the shared trace: resolve every
+     * (combo, ray) to its cheapest passing point — by gallop + bisect
+     * + verify, or by probing every grid point when `exhaustive` —
+     * then pick the winner: smallest objective cost, ties broken by
+     * total instance count and then enumeration order (combo-major,
+     * then ray); margins against the active constraints.
+     */
+    PlanReport
+    run(bool exhaustive)
+    {
+        // Every gallop chain (or, exhaustively, the whole grid) is
+        // known before any probe runs — prefetch it all so the per-ray
+        // searches overlap on the pool.
+        for (std::size_t ci = 0; ci < combos.size(); ++ci) {
+            for (std::size_t ri = 0; ri < rays.size(); ++ri) {
+                if (exhaustive)
+                    speculateRange(ci, ri, rays[ri].lo, rays[ri].hi);
+                else
+                    speculateGallop(ci, ri);
+            }
+        }
         PlanReport report;
         report.slo = slo;
         report.objective = space.objective;
         report.costBudget = space.maxCostBudget;
         report.exhaustiveProbes = space.gridSize();
-        report.monotoneFleetAxis = monotone;
 
+        bool monotone = true;
         bool haveBest = false;
         std::size_t bestCi = 0, bestRi = 0, bestN = 0;
         double bestCost = 0.0;
         std::size_t bestFleet = 0;
-        for (std::size_t ci = 0; ci < per_combo_ray.size(); ++ci) {
-            for (std::size_t ri = 0; ri < per_combo_ray[ci].size();
-                 ++ri) {
-                if (!per_combo_ray[ci][ri])
+        for (std::size_t ci = 0; ci < combos.size(); ++ci) {
+            for (std::size_t ri = 0; ri < rays.size(); ++ri) {
+                const std::optional<std::size_t> n =
+                    exhaustive ? scanRay(ci, ri, monotone)
+                               : cheapestOnRay(ci, ri, monotone);
+                if (!n)
                     continue;
-                const std::size_t n = *per_combo_ray[ci][ri];
-                const double cost = costOf(rays[ri], n);
-                const std::size_t fleet = fleetSizeOf(rays[ri], n);
-                const bool better =
-                    !haveBest || cost < bestCost ||
-                    (cost == bestCost && fleet < bestFleet);
-                if (better) {
+                const double cost = costOf(rays[ri], *n);
+                const std::size_t fleet = fleetSizeOf(rays[ri], *n);
+                if (!haveBest || cost < bestCost ||
+                    (cost == bestCost && fleet < bestFleet)) {
                     haveBest = true;
                     bestCi = ci;
                     bestRi = ri;
-                    bestN = n;
+                    bestN = *n;
                     bestCost = cost;
                     bestFleet = fleet;
                 }
             }
         }
+        report.monotoneFleetAxis = monotone;
         if (haveBest) {
             report.feasible = true;
             report.chosen = probeAt(bestCi, bestRi, bestN);
@@ -715,22 +737,8 @@ CapacityPlanner::plan(const WorkloadSpec &workload, const SloSpec &slo,
                       const PlanSearchSpace &space) const
 {
     validate(slo, space);
-    Search search(*this, workload, slo, space);
-    // Every (combo, ray) gallop chain is known before any probe runs —
-    // prefetch them all so the per-ray searches overlap on the pool.
-    for (std::size_t ci = 0; ci < search.combos.size(); ++ci)
-        for (std::size_t ri = 0; ri < search.rays.size(); ++ri)
-            search.speculateGallop(ci, ri);
-    bool monotone = true;
-    std::vector<std::vector<std::optional<std::size_t>>> perComboRay(
-        search.combos.size());
-    for (std::size_t ci = 0; ci < search.combos.size(); ++ci) {
-        perComboRay[ci].reserve(search.rays.size());
-        for (std::size_t ri = 0; ri < search.rays.size(); ++ri)
-            perComboRay[ci].push_back(
-                search.cheapestOnRay(ci, ri, monotone));
-    }
-    return search.finish(perComboRay, monotone);
+    return Search(*this, WorkloadGenerator(workload).generate(), slo, space)
+        .run(false);
 }
 
 PlanReport
@@ -738,20 +746,7 @@ CapacityPlanner::plan(const TrafficProgram &program, const SloSpec &slo,
                       const PlanSearchSpace &space) const
 {
     validate(slo, space);
-    Search search(*this, materialize(program), slo, space);
-    for (std::size_t ci = 0; ci < search.combos.size(); ++ci)
-        for (std::size_t ri = 0; ri < search.rays.size(); ++ri)
-            search.speculateGallop(ci, ri);
-    bool monotone = true;
-    std::vector<std::vector<std::optional<std::size_t>>> perComboRay(
-        search.combos.size());
-    for (std::size_t ci = 0; ci < search.combos.size(); ++ci) {
-        perComboRay[ci].reserve(search.rays.size());
-        for (std::size_t ri = 0; ri < search.rays.size(); ++ri)
-            perComboRay[ci].push_back(
-                search.cheapestOnRay(ci, ri, monotone));
-    }
-    return search.finish(perComboRay, monotone);
+    return Search(*this, materialize(program), slo, space).run(false);
 }
 
 PlanReport
@@ -760,35 +755,8 @@ CapacityPlanner::planExhaustive(const WorkloadSpec &workload,
                                 const PlanSearchSpace &space) const
 {
     validate(slo, space);
-    Search search(*this, workload, slo, space);
-    // The exhaustive grid is fully known up front: speculate all of it.
-    for (std::size_t ci = 0; ci < search.combos.size(); ++ci)
-        for (std::size_t ri = 0; ri < search.rays.size(); ++ri)
-            search.speculateRange(ci, ri, search.rays[ri].lo,
-                                  search.rays[ri].hi);
-    bool monotone = true;
-    std::vector<std::vector<std::optional<std::size_t>>> perComboRay(
-        search.combos.size());
-    for (std::size_t ci = 0; ci < search.combos.size(); ++ci) {
-        perComboRay[ci].reserve(search.rays.size());
-        for (std::size_t ri = 0; ri < search.rays.size(); ++ri) {
-            const LatticeRay &ray = search.rays[ri];
-            std::optional<std::size_t> cheapest;
-            bool seenPass = false;
-            for (std::size_t s = ray.lo; s <= ray.hi; ++s) {
-                const bool pass = search.probeAt(ci, ri, s).meetsSlo;
-                if (pass && !cheapest)
-                    cheapest = s;
-                // The exhaustive grid judges (per-ray) monotonicity
-                // exactly: a fail above any pass is a violation.
-                if (seenPass && !pass)
-                    monotone = false;
-                seenPass = seenPass || pass;
-            }
-            perComboRay[ci].push_back(cheapest);
-        }
-    }
-    return search.finish(perComboRay, monotone);
+    return Search(*this, WorkloadGenerator(workload).generate(), slo, space)
+        .run(true);
 }
 
 // ---------------------------------------------------------------- //

@@ -307,7 +307,9 @@ struct PlannerConfig
      *  serial order and logs only the probes the serial search asks
      *  for — the PlanReport is byte-identical to threads == 1
      *  (enforced by bench_serving's differential gate and
-     *  PlannerProperties.ParallelPlanIsByteIdenticalToSerial). */
+     *  PlannerProperties.ParallelPlanIsByteIdenticalToSerial). Above
+     *  ProbeExecutor::kMaxThreads, plan() throws
+     *  std::invalid_argument. */
     std::size_t threads = 1;
 };
 
@@ -344,7 +346,7 @@ class CapacityPlanner
                     const PlanSearchSpace &space) const;
 
     /** Same search over a non-stationary traffic program
-     *  (runtime/traffic): the program's trace is materialized once and
+     *  (runtime/workload): the program's trace is materialized once and
      *  shared across every probe, so the planner sizes the fleet for
      *  the program's *peak* — "does this fleet survive Monday
      *  morning?" asked as a sizing question. */

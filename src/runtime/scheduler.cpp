@@ -12,6 +12,7 @@
 #include <optional>
 #include <queue>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -172,10 +173,12 @@ SimServiceModel::profile(const AcceleratorConfig &cfg,
                          std::uint32_t network_id,
                          std::uint32_t bucket) const
 {
-    simAssert(network_id < cat.networks.size(),
-              "network id outside the serving catalog");
-    simAssert(bucket < cat.bucketScales.size(),
-              "size bucket outside the serving catalog");
+    if (network_id >= cat.networks.size())
+        throw std::invalid_argument(
+            "network id outside the serving catalog");
+    if (bucket >= cat.bucketScales.size())
+        throw std::invalid_argument(
+            "size bucket outside the serving catalog");
     const Key key{cfg.name, network_id, bucket};
     // Fast path: the triple is already profiled. Concurrent probes
     // hit this read-side lock on every dispatch, so it must stay
@@ -1040,6 +1043,9 @@ struct Run
     const ServiceModel &model;
     const SchedulerConfig &cfg;
     RequestSource &source;
+    /** Catalog size buckets: admission rejects a request naming one
+     *  past the end before the batcher indexes its scale table. */
+    const std::size_t buckets;
 
     ServingReport report;
     AdmissionQueue queue;
@@ -1076,7 +1082,8 @@ struct Run
         const ServiceModel &model_, const std::vector<double> &scales,
         const SchedulerConfig &cfg_, RequestSource &source_)
         : fleet(fleet_), model(model_), cfg(cfg_), source(source_),
-          queue(cfg.queueDepth), batcher(cfg.batcher, scales),
+          buckets(scales.size()), queue(cfg.queueDepth),
+          batcher(cfg.batcher, scales),
           mapCache(cfg.mapCache), instances(fleet.size()),
           faults(cfg, fleet.size()), scaler(cfg.autoscaler),
           costAwareOn(cfg.batcher.enabled && cfg.batcher.costAware &&
@@ -1477,6 +1484,10 @@ struct Run
         while (source.peek() != nullptr &&
                source.peek()->arrivalCycle <= now) {
             Request r = source.take();
+            if (r.sizeBucket >= buckets)
+                throw std::invalid_argument(
+                    "request " + std::to_string(r.id) +
+                    " names a size bucket outside the catalog");
             report.generated += 1;
             r.estimatedCycles = priceOf(r).estimateNs;
             // The cadence tracks the offered arrival process (drops

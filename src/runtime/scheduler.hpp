@@ -258,6 +258,8 @@ class SimServiceModel : public ServiceModel
 
     const ServingCatalog &catalog() const { return cat; }
 
+    /** @throws std::invalid_argument on a network or bucket outside
+     *          the catalog */
     ServiceProfile profile(const AcceleratorConfig &cfg,
                            std::uint32_t network_id,
                            std::uint32_t bucket) const override;
@@ -378,7 +380,9 @@ class FleetScheduler
      * `source` in arrival order as simulated time reaches them, so a
      * million-request run holds only in-flight state — the queue, the
      * pipelines and the event heap — never the whole trace. The vector
-     * overload is this one over a VectorRequestSource.
+     * overload is this one over a VectorRequestSource. Both throw
+     * std::invalid_argument on a request whose sizeBucket is outside
+     * the bucket scales.
      */
     ServingReport run(RequestSource &source) const;
 

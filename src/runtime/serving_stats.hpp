@@ -40,7 +40,7 @@
 #include "runtime/autoscaler.hpp"
 #include "runtime/faults.hpp"
 #include "runtime/map_cache.hpp"
-#include "runtime/traffic.hpp"
+#include "runtime/workload.hpp"
 
 namespace pointacc {
 
@@ -193,9 +193,10 @@ struct ServingReport
     FaultStats faults;
 
     /** Traffic-program shape the run served, when the caller drove a
-     *  TrafficStream (filled by the bench/example harnesses, not the
-     *  scheduler — the scheduler only sees a RequestSource). The
-     *  traffic_* JSON block is emitted only when present. */
+     *  WorkloadStream over a TrafficProgram (filled by the
+     *  bench/example harnesses, not the scheduler — the scheduler only
+     *  sees a RequestSource). The traffic_* JSON block is emitted only
+     *  when present. */
     TrafficTelemetry traffic;
 
     /** Event-axis ns -> milliseconds. Frequency-free: the axis is

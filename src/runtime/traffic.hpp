@@ -1,50 +1,28 @@
 /**
  * @file
- * Traffic programs: non-stationary arrival generation for the serving
- * runtime.
+ * Traffic-program presets and schedule replay for the serving runtime.
  *
- * The workload layer (runtime/workload) generates *stationary*
- * Poisson/bursty arrivals — one rate, forever. Production point-cloud
- * serving does not look like that: load follows the day (diurnal
- * swings), spikes when an event draws a crowd of AR clients at once
- * (flash crowds), and the population of LiDAR streams feeding the
- * fleet turns over, which churns the kernel-map cache's working set.
- * A TrafficProgram describes exactly those effects as data:
+ * A TrafficProgram (runtime/workload) describes non-stationary load
+ * as data: a piecewise-constant rate schedule over a base WorkloadSpec
+ * plus stream churn, generated lazily by WorkloadStream. Production
+ * point-cloud serving does not run at one rate forever: load follows
+ * the day (diurnal swings) and spikes when an event draws a crowd of
+ * AR clients at once (flash crowds). This module builds those two
+ * shapes every serving paper plots, and replays recorded traces:
  *
- *  - a piecewise-constant rate profile (RatePhase list) over the
- *    base WorkloadSpec — a Markov-modulated Poisson process whose
- *    modulating chain is a deterministic schedule, which is what a
+ *  - flashCrowdProgram / diurnalProgram: the rate schedule is a
+ *    deterministic Markov-modulated Poisson process, which is what a
  *    capacity question ("does this fleet survive Monday morning?")
- *    actually needs: the worst case is replayable, not sampled;
- *  - stream churn (ChurnSpec): every intervalCycles the per-stream
- *    frame history resets, so the next frame of every stream is fresh
- *    geometry with a brand-new cloudId — the map cache's resident
- *    entries become garbage exactly the way a fleet handover or a
- *    rotated client population makes them garbage;
- *  - presets (flashCrowdProgram, diurnalProgram) for the two shapes
- *    every serving paper plots, and schedule-file replay
- *    (writeSchedule / readSchedule) so a recorded trace — generated
- *    or captured — can be re-served bit-for-bit.
+ *    actually needs — the worst case is replayable, not sampled;
+ *  - writeSchedule / readSchedule: a recorded trace — generated or
+ *    captured — is re-served bit-for-bit.
  *
- * TrafficStream emits a program lazily behind the same RequestSource
- * interface the scheduler already consumes, so the event loop is
- * untouched. Rate changes use the exact piecewise-exponential
- * construction (draw a gap at the current segment's rate; if it
- * crosses the next boundary, restart the draw *at* the boundary under
- * the new rate — valid by memorylessness), and every per-event draw
- * (gap, burst size, class pick, per-member reuse) happens in the
- * WorkloadStream's exact order. A program with no phases and no churn
- * is therefore byte-identical to the stationary stream with the same
- * spec — the anchor property test that pins this layer to the seed
- * generator's contract.
- *
- * Invariants (fuzzed by test_runtime_properties): per-segment arrival
- * counts match the analytic expectation rate * length; the stationary
- * anchor above; materialize() output is sorted by arrivalOrderBefore
- * with ids dense from 0; writeSchedule -> readSchedule round-trips to
- * the identical request vector (and identical serving JSON when
- * served); readSchedule rejects malformed input with
- * std::invalid_argument, never garbage requests.
+ * Invariants (fuzzed by test_runtime_properties): writeSchedule ->
+ * readSchedule round-trips to the identical request vector (and
+ * identical serving JSON when served); readSchedule rejects malformed
+ * input with std::invalid_argument, never garbage requests, and every
+ * schedule it accepts serves to a conserving report (a seeded
+ * byte-mutation fuzz driver pins both).
  */
 
 #ifndef POINTACC_RUNTIME_TRAFFIC_HPP
@@ -52,60 +30,12 @@
 
 #include <cstdint>
 #include <istream>
-#include <map>
-#include <optional>
 #include <ostream>
-#include <queue>
-#include <string>
 #include <vector>
 
-#include "core/rng.hpp"
 #include "runtime/workload.hpp"
 
 namespace pointacc {
-
-/** One piecewise-rate segment boundary: from startCycle on, arrivals
- *  run at requestsPerMCycle (until the next phase, or forever). The
- *  span before the first phase runs at the base spec's rate. */
-struct RatePhase
-{
-    std::uint64_t startCycle = 0;
-    double requestsPerMCycle = 1.0;
-};
-
-/** Stream-churn knob: every intervalCycles the per-stream frame
- *  history resets, so each stream's next frame is fresh geometry with
- *  a new cloudId — repeated-frame map-cache locality is destroyed at
- *  every boundary (0 = never churn). */
-struct ChurnSpec
-{
-    std::uint64_t intervalCycles = 0;
-};
-
-/** A full arrival program: base spec + rate schedule + churn. */
-struct TrafficProgram
-{
-    std::string name = "traffic";
-    /** Supplies everything a rate alone does not: seed, horizon,
-     *  arrival process shape, burst size and the class mix. Its
-     *  requestsPerMCycle is the rate before the first phase. */
-    WorkloadSpec base;
-    /** Rate schedule, sorted by strictly increasing startCycle;
-     *  empty = stationary at the base rate. */
-    std::vector<RatePhase> phases;
-    ChurnSpec churn;
-
-    /** Largest rate any segment runs at (>= base rate). */
-    double peakRequestsPerMCycle() const;
-};
-
-/**
- * Validate a TrafficProgram, throwing std::invalid_argument on the
- * first violation: an invalid base spec (see validateWorkloadSpec),
- * phases not strictly increasing in startCycle, or a non-positive /
- * non-finite phase rate.
- */
-void validateTrafficProgram(const TrafficProgram &program);
 
 /** Flash crowd: base rate, then multiplier * base over the window
  *  [start_frac, start_frac + duration_frac) of the horizon, then base
@@ -125,100 +55,12 @@ TrafficProgram diurnalProgram(const WorkloadSpec &base,
                               double peak_factor,
                               std::uint32_t steps_per_period);
 
-/** What a serving run saw of its traffic program — carried on the
- *  ServingReport so writeServingJson can emit the traffic_* block
- *  (emitted only when present, so stationary reports stay
- *  byte-identical to pre-traffic output). */
-struct TrafficTelemetry
-{
-    bool present = false;
-    std::string program;
-    std::uint64_t segments = 0; ///< piecewise-rate segments (>= 1)
-    double basePerMCycle = 0.0;
-    double peakPerMCycle = 0.0;
-    std::uint64_t churnIntervalCycles = 0;
-    std::uint64_t churnEvents = 0; ///< churn boundaries actually crossed
-};
-
-/**
- * Lazy arrival stream over a TrafficProgram: WorkloadStream's
- * streaming contract (O(in-flight + classes) memory, bounded reorder
- * heap, arrivalOrderBefore emission order) generalized to a
- * piecewise rate schedule plus stream churn. See the file header for
- * the draw-order guarantee.
- */
-class TrafficStream : public RequestSource
-{
-  public:
-    /** Validates the program (std::invalid_argument on violation). */
-    explicit TrafficStream(const TrafficProgram &program);
-
-    const Request *peek() override;
-    Request take() override;
-
-    /** Telemetry snapshot (program shape + churn events so far);
-     *  meaningful after the stream has been drained. */
-    TrafficTelemetry telemetry() const;
-
-    std::uint64_t emitted() const { return numEmitted; }
-    std::size_t peakBuffered() const { return peak; }
-
-  private:
-    /** One resolved piecewise-rate segment. */
-    struct Segment
-    {
-        double startCycle = 0.0;
-        double meanGap = 1.0; ///< mean inter-event gap at this rate
-        double ratePerMCycle = 0.0;
-    };
-
-    struct LaterArrival
-    {
-        bool
-        operator()(const Request &a, const Request &b) const
-        {
-            return arrivalOrderBefore(b, a);
-        }
-    };
-
-    /** Next event time after `from`: piecewise-exponential draw with
-     *  restart-at-boundary (memorylessness). */
-    double drawNextEventTime(double from);
-
-    void refill();
-    std::optional<Request> nextInternal();
-
-    TrafficProgram prog;
-    std::vector<Segment> segments;
-    Rng rng;
-    double totalWeight = 0.0;
-    double clock = 0.0;
-    std::uint64_t nextEventCycle = 0;
-    bool exhausted = false;
-    std::uint64_t nextId = 0;
-    std::uint64_t nextCloudId = 1;
-    std::map<std::uint32_t, std::uint64_t> lastFrame;
-    std::priority_queue<Request, std::vector<Request>, LaterArrival>
-        pending;
-    std::optional<Request> lookahead;
-    std::size_t peak = 0;
-    std::uint64_t numEmitted = 0;
-    std::uint64_t churnEpoch = 0;
-    std::uint64_t churnEvents = 0;
-};
-
-/** Drain a program into a sorted trace (ids dense from 0). When
- *  `telemetry` is non-null it receives the drained stream's snapshot
- *  — the vector-entry-point analogue of running a TrafficStream and
- *  reading telemetry() afterwards. */
-std::vector<Request> materialize(const TrafficProgram &program,
-                                 TrafficTelemetry *telemetry = nullptr);
-
 /**
  * Schedule-file replay. writeSchedule records a trace as a versioned
  * text schedule (one request per line); readSchedule parses one back,
  * throwing std::invalid_argument on a bad magic/version, a malformed
- * or truncated row, or rows out of arrival order. A recorded schedule
+ * or truncated row, rows out of arrival order, a repeated id, or an id
+ * with bit 63 set (the range hedged duplicates use). A recorded schedule
  * replayed through VectorRequestSource serves byte-identically to the
  * stream that produced it (pinned by test_runtime_properties).
  */

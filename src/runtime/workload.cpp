@@ -46,6 +46,35 @@ validateWorkloadSpec(const WorkloadSpec &spec)
             "mix weights must sum to a positive value");
 }
 
+double
+TrafficProgram::peakRequestsPerMCycle() const
+{
+    double peak = base.requestsPerMCycle;
+    for (const auto &ph : phases)
+        peak = std::max(peak, ph.requestsPerMCycle);
+    return peak;
+}
+
+void
+validateTrafficProgram(const TrafficProgram &program)
+{
+    validateWorkloadSpec(program.base);
+    std::uint64_t prev = 0;
+    bool first = true;
+    for (const auto &ph : program.phases) {
+        if (!std::isfinite(ph.requestsPerMCycle) ||
+            ph.requestsPerMCycle <= 0.0)
+            throw std::invalid_argument(
+                "traffic phase rate must be positive and finite");
+        if (!first && ph.startCycle <= prev)
+            throw std::invalid_argument(
+                "traffic phases must have strictly increasing "
+                "startCycle");
+        prev = ph.startCycle;
+        first = false;
+    }
+}
+
 WorkloadGenerator::WorkloadGenerator(WorkloadSpec spec) : wspec(std::move(spec))
 {
     validateWorkloadSpec(wspec);
@@ -62,6 +91,11 @@ exponentialDraw(Rng &rng, double mean)
     return -std::log(1.0 - u) * mean;
 }
 
+} // namespace detail
+
+namespace {
+
+/** Weighted class pick over `mix` (the seed's linear scan). */
 std::size_t
 pickWeightedClass(Rng &rng, const std::vector<RequestClass> &mix,
                   double total_weight)
@@ -75,35 +109,83 @@ pickWeightedClass(Rng &rng, const std::vector<RequestClass> &mix,
     return mix.size() - 1;
 }
 
-} // namespace detail
+/** The program a bare spec describes: no phases, no churn. */
+TrafficProgram
+stationary(const WorkloadSpec &spec)
+{
+    TrafficProgram program;
+    program.base = spec;
+    return program;
+}
+
+} // namespace
 
 WorkloadStream::WorkloadStream(const WorkloadSpec &spec)
-    : wspec(spec), rng(spec.seed)
+    : WorkloadStream(stationary(spec))
 {
-    validateWorkloadSpec(wspec);
-    for (const auto &cls : wspec.mix)
+}
+
+WorkloadStream::WorkloadStream(const TrafficProgram &program)
+    : prog(program), rng(program.base.seed)
+{
+    validateTrafficProgram(prog);
+    for (const auto &cls : prog.base.mix)
         totalWeight += cls.weight;
     // Bursty traffic keeps the same mean rate by thinning the event
     // process: events arrive at rate/meanBurst, each carrying on
-    // average meanBurst requests. Computed with the seed's exact
-    // expression — an algebraically equal rearrangement could round
-    // differently and shift every arrival cycle.
-    const bool bursty = wspec.arrivals == ArrivalProcess::Bursty;
+    // average meanBurst requests. Each segment's mean gap uses the
+    // seed's exact expression — an algebraically equal rearrangement
+    // could round differently and shift every arrival cycle.
+    const bool bursty = prog.base.arrivals == ArrivalProcess::Bursty;
     const double perEvent =
-        bursty ? static_cast<double>(wspec.meanBurstSize) : 1.0;
-    const double eventRatePerCycle =
-        wspec.requestsPerMCycle / 1e6 / perEvent;
-    meanGap = 1.0 / eventRatePerCycle;
+        bursty ? static_cast<double>(prog.base.meanBurstSize) : 1.0;
+    auto segmentOf = [&](std::uint64_t start, double rate) {
+        return Segment{static_cast<double>(start),
+                       1.0 / (rate / 1e6 / perEvent)};
+    };
+    segments.push_back(segmentOf(0, prog.base.requestsPerMCycle));
+    for (const auto &ph : prog.phases) {
+        if (ph.startCycle == 0)
+            segments.back() = segmentOf(0, ph.requestsPerMCycle);
+        else
+            segments.push_back(
+                segmentOf(ph.startCycle, ph.requestsPerMCycle));
+    }
     // First inter-event gap (the seed loop's first draw).
-    clock = detail::exponentialDraw(rng, meanGap);
+    clock = drawNextEventTime(0.0);
     nextEventCycle = static_cast<std::uint64_t>(clock);
-    exhausted = nextEventCycle >= wspec.horizonCycles;
+    exhausted = nextEventCycle >= prog.base.horizonCycles;
+}
+
+double
+WorkloadStream::drawNextEventTime(double from)
+{
+    // Piecewise-exponential simulation: draw a gap at the current
+    // segment's mean; a draw that crosses the next rate boundary is
+    // discarded and restarted *at* the boundary under the new rate —
+    // exact for a piecewise-constant-rate Poisson process by
+    // memorylessness. With one segment this is a single draw, the
+    // seed generator's sequence. The clock only moves forward, so the
+    // current segment is a cursor, never a search.
+    double t = from;
+    while (segment + 1 < segments.size() &&
+           segments[segment + 1].startCycle <= t)
+        ++segment;
+    for (;;) {
+        const double gap =
+            detail::exponentialDraw(rng, segments[segment].meanGap);
+        if (segment + 1 == segments.size() ||
+            t + gap < segments[segment + 1].startCycle)
+            return t + gap;
+        t = segments[++segment].startCycle;
+    }
 }
 
 void
 WorkloadStream::refill()
 {
-    const bool bursty = wspec.arrivals == ArrivalProcess::Bursty;
+    const bool bursty = prog.base.arrivals == ArrivalProcess::Bursty;
+    const std::uint64_t churnInterval = prog.churn.intervalCycles;
 
     // A buffered request is releasable once no unmaterialized event
     // can rank before it: future members arrive at cycles >= the next
@@ -115,13 +197,25 @@ WorkloadStream::refill()
             pending.top().arrivalCycle > nextEventCycle)) {
         const std::uint64_t cycle = nextEventCycle;
 
+        // Stream churn: crossing an interval boundary retires every
+        // stream's frame history, so the next frame of each stream is
+        // fresh geometry with a new cloudId (map-cache cold misses).
+        if (churnInterval > 0) {
+            const std::uint64_t epoch = cycle / churnInterval;
+            if (epoch > churnEpoch) {
+                churnEvents += epoch - churnEpoch;
+                churnEpoch = epoch;
+                lastFrame.clear();
+            }
+        }
+
         // One event = one burst; the whole burst shares one class (a
         // client uploads several clouds of the same kind in a row).
         std::uint64_t count = 1;
-        if (bursty && wspec.meanBurstSize > 1)
-            count = 1 + rng.range(2 * wspec.meanBurstSize - 1);
-        const auto &cls = wspec.mix[detail::pickWeightedClass(
-            rng, wspec.mix, totalWeight)];
+        if (bursty && prog.base.meanBurstSize > 1)
+            count = 1 + rng.range(2 * prog.base.meanBurstSize - 1);
+        const auto &cls = prog.base.mix[pickWeightedClass(
+            rng, prog.base.mix, totalWeight)];
         for (std::uint64_t i = 0; i < count; ++i) {
             Request r;
             r.id = nextId++;
@@ -151,9 +245,9 @@ WorkloadStream::refill()
         // Draw the next event's gap now: its cycle is the release
         // threshold for everything buffered so far. Same position in
         // the RNG sequence as the seed loop's next iteration.
-        clock += detail::exponentialDraw(rng, meanGap);
+        clock = drawNextEventTime(clock);
         const auto next = static_cast<std::uint64_t>(clock);
-        if (next >= wspec.horizonCycles)
+        if (next >= prog.base.horizonCycles)
             exhausted = true;
         else
             nextEventCycle = next;
@@ -190,16 +284,38 @@ WorkloadStream::take()
     return r;
 }
 
+TrafficTelemetry
+WorkloadStream::telemetry() const
+{
+    TrafficTelemetry t;
+    t.present = true;
+    t.program = prog.name;
+    t.segments = segments.size();
+    t.basePerMCycle = prog.base.requestsPerMCycle;
+    t.peakPerMCycle = prog.peakRequestsPerMCycle();
+    t.churnIntervalCycles = prog.churn.intervalCycles;
+    t.churnEvents = churnEvents;
+    return t;
+}
+
 std::vector<Request>
 WorkloadGenerator::generate() const
+{
+    return materialize(stationary(wspec));
+}
+
+std::vector<Request>
+materialize(const TrafficProgram &program, TrafficTelemetry *telemetry)
 {
     // Same trace the seed's materialize-then-stable_sort produced: the
     // stream emits in (arrivalCycle, id) order, which is exactly that
     // sort's total order.
     std::vector<Request> out;
-    WorkloadStream s(wspec);
+    WorkloadStream s(program);
     while (s.peek() != nullptr)
         out.push_back(s.take());
+    if (telemetry != nullptr)
+        *telemetry = s.telemetry();
     return out;
 }
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * Open-loop inference request generation for the serving runtime.
+ * Open-loop inference request generation for the serving runtime:
+ * the one module that owns arrival generation.
  *
  * The serving simulator studies PointAcc fleets under load, so the
  * traffic source is *open loop*: arrivals are generated independently
@@ -28,26 +29,38 @@
  * one LiDAR rig repeat. Repeated frames are what the runtime's
  * kernel-map cache (runtime/map_cache) can serve without re-mapping.
  *
- * Streaming: the generator is *lazy*. stream() yields arrivals one at
- * a time in global arrival order while holding only O(in-flight burst
+ * Non-stationary load: a TrafficProgram wraps a WorkloadSpec with a
+ * piecewise-constant rate schedule (RatePhase list — diurnal swings,
+ * flash crowds; presets live in runtime/traffic) and stream churn
+ * (ChurnSpec: every intervalCycles the per-stream frame history
+ * resets, so every stream's next frame is fresh geometry, the way a
+ * rotated client population looks to the map cache). A bare
+ * WorkloadSpec is the program with no phases and no churn.
+ *
+ * Streaming: WorkloadStream is *lazy*. It yields arrivals one at a
+ * time in global arrival order while holding only O(in-flight burst
  * members + stream classes) state — a million-request trace costs the
- * same resident memory as a thousand-request one. Draw-for-draw the
- * stream performs the exact RNG sequence the seed's materializing
- * generate() performed (gap, burst size, class pick, per-member reuse,
- * in that order per event), so traces are byte-identical; generate()
- * is now a convenience wrapper that drains the stream into a vector.
- * Only burst members that straddle a later event's arrival are ever
+ * same resident memory as a thousand-request one. Rate changes use
+ * the exact piecewise-exponential construction (draw a gap at the
+ * current segment's rate; if it crosses the next boundary, restart
+ * the draw *at* the boundary under the new rate — valid by
+ * memorylessness). On one segment that is a single draw per event, so
+ * the stream performs the exact RNG sequence the seed's materializing
+ * generator performed (gap, burst size, class pick, per-member reuse,
+ * in that order per event) and traces are byte-identical to it. Only
+ * burst members that straddle a later event's arrival are ever
  * buffered (a bounded min-heap), which is what the seed's trailing
  * stable_sort existed to fix up.
  *
- * Invariants (fuzzed by test_runtime_properties): generate() returns
- * arrivals sorted by (arrivalCycle, id) with ids dense from 0, every
- * arrival inside the horizon (bursty members may trail by the burst
- * length), byte-identical across equal-seed runs, and cloudIds that
- * are unique per fresh frame (repeats only ever point at an earlier
- * frame of the same stream). The stream emits the identical sequence
- * (asserted against a preserved reference generator) with
- * peakBuffered() independent of trace length.
+ * Invariants (fuzzed by test_runtime_properties): generate() and
+ * materialize() return arrivals sorted by (arrivalCycle, id) with ids
+ * dense from 0, every arrival inside the horizon (bursty members may
+ * trail by the burst length), byte-identical across equal-seed runs,
+ * and cloudIds that are unique per fresh frame (repeats only ever
+ * point at an earlier frame of the same stream). A phase-free program
+ * reproduces the seed generator draw for draw (asserted against a
+ * preserved replica), per-segment arrival counts match rate * length,
+ * and peakBuffered() is independent of trace length.
  */
 
 #ifndef POINTACC_RUNTIME_WORKLOAD_HPP
@@ -148,18 +161,70 @@ struct Request
  */
 void validateWorkloadSpec(const WorkloadSpec &spec);
 
+/** One piecewise-rate segment boundary: from startCycle on, arrivals
+ *  run at requestsPerMCycle (until the next phase, or forever). The
+ *  span before the first phase runs at the base spec's rate. */
+struct RatePhase
+{
+    std::uint64_t startCycle = 0;
+    double requestsPerMCycle = 1.0;
+};
+
+/** Stream-churn knob: every intervalCycles the per-stream frame
+ *  history resets, so each stream's next frame is fresh geometry with
+ *  a new cloudId — repeated-frame map-cache locality is destroyed at
+ *  every boundary (0 = never churn). */
+struct ChurnSpec
+{
+    std::uint64_t intervalCycles = 0;
+};
+
+/** A full arrival program: base spec + rate schedule + churn. */
+struct TrafficProgram
+{
+    std::string name = "traffic";
+    /** Supplies everything a rate alone does not: seed, horizon,
+     *  arrival process shape, burst size and the class mix. Its
+     *  requestsPerMCycle is the rate before the first phase. */
+    WorkloadSpec base;
+    /** Rate schedule, sorted by strictly increasing startCycle;
+     *  empty = stationary at the base rate. */
+    std::vector<RatePhase> phases;
+    ChurnSpec churn;
+
+    /** Largest rate any segment runs at (>= base rate). */
+    double peakRequestsPerMCycle() const;
+};
+
+/**
+ * Validate a TrafficProgram, throwing std::invalid_argument on the
+ * first violation: an invalid base spec (see validateWorkloadSpec),
+ * phases not strictly increasing in startCycle, or a non-positive /
+ * non-finite phase rate.
+ */
+void validateTrafficProgram(const TrafficProgram &program);
+
+/** What a serving run saw of its traffic program — carried on the
+ *  ServingReport so writeServingJson can emit the traffic_* block
+ *  (emitted only when present, so stationary reports stay
+ *  byte-identical to pre-traffic output). */
+struct TrafficTelemetry
+{
+    bool present = false;
+    std::string program;
+    std::uint64_t segments = 0; ///< piecewise-rate segments (>= 1)
+    double basePerMCycle = 0.0;
+    double peakPerMCycle = 0.0;
+    std::uint64_t churnIntervalCycles = 0;
+    std::uint64_t churnEvents = 0; ///< churn boundaries actually crossed
+};
+
 namespace detail {
 
 /** Exponential variate with the given mean — the seed generator's
- *  exact inverse-CDF expression, shared so every arrival process
- *  (stationary or piecewise-rate, see runtime/traffic) performs
- *  byte-identical draws. */
+ *  exact inverse-CDF expression, shared with the fault programs
+ *  (runtime/faults) so every seeded process draws the same way. */
 double exponentialDraw(Rng &rng, double mean);
-
-/** Weighted class pick over `mix` (the seed's linear scan). */
-std::size_t pickWeightedClass(Rng &rng,
-                              const std::vector<RequestClass> &mix,
-                              double total_weight);
 
 } // namespace detail
 
@@ -219,14 +284,19 @@ class VectorRequestSource : public RequestSource
 };
 
 /**
- * Lazy arrival stream (see the file header): the seed generator's
- * exact RNG draw sequence, emitted in sorted order through a bounded
- * reorder heap instead of a materialize-then-sort pass.
+ * Lazy arrival stream (see the file header): a TrafficProgram's
+ * piecewise-exponential arrivals emitted in arrivalOrderBefore order
+ * through a bounded reorder heap, in O(in-flight + classes) memory.
  */
 class WorkloadStream : public RequestSource
 {
   public:
+    /** The stationary stream: a program with no phases and no churn.
+     *  Validates the spec (std::invalid_argument on violation). */
     explicit WorkloadStream(const WorkloadSpec &spec);
+
+    /** Validates the program (std::invalid_argument on violation). */
+    explicit WorkloadStream(const TrafficProgram &program);
 
     const Request *peek() override;
     Request take() override;
@@ -240,7 +310,18 @@ class WorkloadStream : public RequestSource
     /** Requests emitted so far. */
     std::uint64_t emitted() const { return numEmitted; }
 
+    /** Telemetry snapshot (program shape + churn events so far);
+     *  meaningful after the stream has been drained. */
+    TrafficTelemetry telemetry() const;
+
   private:
+    /** One resolved piecewise-rate segment. */
+    struct Segment
+    {
+        double startCycle = 0.0;
+        double meanGap = 1.0; ///< mean inter-event gap at this rate
+    };
+
     struct LaterArrival
     {
         bool
@@ -250,6 +331,10 @@ class WorkloadStream : public RequestSource
         }
     };
 
+    /** Next event time after `from`: piecewise-exponential draw with
+     *  restart-at-boundary (memorylessness). */
+    double drawNextEventTime(double from);
+
     /** Materialize events until the reorder heap's top is safe to
      *  release (no future event can rank before it) or the horizon is
      *  reached. */
@@ -257,10 +342,11 @@ class WorkloadStream : public RequestSource
 
     std::optional<Request> nextInternal();
 
-    WorkloadSpec wspec;
+    TrafficProgram prog;
+    std::vector<Segment> segments;
+    std::size_t segment = 0;     ///< segment the clock is in
     Rng rng;
     double totalWeight = 0.0;
-    double meanGap = 1.0;        ///< mean inter-event gap in cycles
     double clock = 0.0;          ///< continuous arrival-process time
     std::uint64_t nextEventCycle = 0; ///< next unmaterialized event
     bool exhausted = false;      ///< horizon reached; drain the heap
@@ -273,6 +359,8 @@ class WorkloadStream : public RequestSource
     std::optional<Request> lookahead;
     std::size_t peak = 0;
     std::uint64_t numEmitted = 0;
+    std::uint64_t churnEpoch = 0;
+    std::uint64_t churnEvents = 0;
 };
 
 /**
@@ -298,6 +386,13 @@ class WorkloadGenerator
   private:
     WorkloadSpec wspec;
 };
+
+/** Drain a program into a sorted trace (ids dense from 0). When
+ *  `telemetry` is non-null it receives the drained stream's snapshot
+ *  — the vector-entry-point analogue of running a WorkloadStream and
+ *  reading telemetry() afterwards. */
+std::vector<Request> materialize(const TrafficProgram &program,
+                                 TrafficTelemetry *telemetry = nullptr);
 
 } // namespace pointacc
 

@@ -141,6 +141,10 @@ TEST(ProbeExecutor, ResolveThreadsMapsKnobToPoolSize)
     EXPECT_EQ(ProbeExecutor::resolveThreads(1), 0u);
     EXPECT_EQ(ProbeExecutor::resolveThreads(4), 4u);
     EXPECT_GE(ProbeExecutor::defaultThreads(), 1u);
+    // Above the bound the knob is rejected before any pool exists.
+    EXPECT_THROW(
+        ProbeExecutor::resolveThreads(ProbeExecutor::kMaxThreads + 1),
+        std::invalid_argument);
 }
 
 TEST(ProbeExecutor, DestructorDrainsQueuedTasks)

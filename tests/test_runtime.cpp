@@ -864,6 +864,17 @@ TEST(FleetScheduler, ConstructorRejectsBadFleetsAndDepths)
                  std::invalid_argument);
 }
 
+TEST(FleetScheduler, RunRejectsSizeBucketsOutsideTheScales)
+{
+    // The batcher indexes the bucket-scale table by sizeBucket, so a
+    // request past its end is bad input, rejected at admission.
+    const FixedServiceModel model(10'000);
+    auto trace = denseTrace(4, 1'000);
+    trace[2].sizeBucket = 1;
+    EXPECT_THROW(FleetScheduler({pointAccConfig()}, model, {1.0}).run(trace),
+                 std::invalid_argument);
+}
+
 TEST(FleetScheduler, ConservationUnderOverload)
 {
     const FixedServiceModel model(10'000);
@@ -2226,6 +2237,19 @@ TEST(SimServiceModel, RejectsMalformedCatalogs)
     EXPECT_THROW(SimServiceModel{badScale}, std::invalid_argument);
 }
 
+TEST(SimServiceModel, ProfileRejectsIdsOutsideTheCatalog)
+{
+    // Both checks run before any simulation, so these cost nothing.
+    ServingCatalog catalog;
+    catalog.networks = {pointNet()};
+    catalog.bucketScales = {0.05};
+    const SimServiceModel model(catalog);
+    EXPECT_THROW(model.profile(pointAccConfig(), 1, 0),
+                 std::invalid_argument);
+    EXPECT_THROW(model.profile(pointAccConfig(), 0, 1),
+                 std::invalid_argument);
+}
+
 TEST(SimServiceModel, EndToEndServingRunIsConsistent)
 {
     ServingCatalog catalog;
@@ -2319,7 +2343,7 @@ TEST(Traffic, ValidationRejectsBadPrograms)
     program.phases.clear();
     program.base.requestsPerMCycle = -1.0; // bad base propagates
     EXPECT_THROW(validateTrafficProgram(program), std::invalid_argument);
-    EXPECT_THROW(TrafficStream{program}, std::invalid_argument);
+    EXPECT_THROW(WorkloadStream{program}, std::invalid_argument);
 }
 
 TEST(Traffic, PresetShapesAndPeakRates)

@@ -85,6 +85,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -150,11 +151,15 @@ class RandomPhasedServiceModel : public ServiceModel
         }
     }
 
+    /** Throws std::invalid_argument outside the table, as
+     *  SimServiceModel does outside its catalog. */
     ServiceProfile
     profile(const AcceleratorConfig &, std::uint32_t network_id,
             std::uint32_t bucket) const override
     {
-        return table.at(network_id * kBuckets + bucket);
+        if (network_id >= kNetworks || bucket >= kBuckets)
+            throw std::invalid_argument("outside the cost table");
+        return table[network_id * kBuckets + bucket];
     }
 
   private:
@@ -1298,16 +1303,24 @@ sameRequest(const Request &a, const Request &b)
 
 TEST(RuntimeEquivalence, StreamingGeneratorMatchesSeedDrawForDraw)
 {
+    // Both entry points of the one arrival stream — a bare spec and a
+    // program with no phases and no churn — reproduce the seed
+    // generator draw for draw, across the fuzzed spec space (both
+    // arrival processes, deadlines, reuse streams).
     for (std::uint64_t seed = 1; seed <= 40; ++seed) {
         Rng rng(seed * 0x51ed2701ULL);
         const auto spec = randomSpec(rng, seed);
         const auto reference = seedReferenceTrace(spec);
-        const auto streamed = WorkloadGenerator(spec).generate();
+        TrafficProgram program;
+        program.base = spec;
         SCOPED_TRACE("seed " + std::to_string(seed));
-        ASSERT_EQ(streamed.size(), reference.size());
-        for (std::size_t i = 0; i < streamed.size(); ++i)
-            ASSERT_TRUE(sameRequest(streamed[i], reference[i]))
-                << "trace diverged at index " << i;
+        for (const auto &streamed :
+             {WorkloadGenerator(spec).generate(), materialize(program)}) {
+            ASSERT_EQ(streamed.size(), reference.size());
+            for (std::size_t i = 0; i < streamed.size(); ++i)
+                ASSERT_TRUE(sameRequest(streamed[i], reference[i]))
+                    << "trace diverged at index " << i;
+        }
     }
 }
 
@@ -2030,26 +2043,6 @@ TEST(TrafficProperties, SegmentArrivalCountsMatchAnalyticRates)
     }
 }
 
-TEST(TrafficProperties, StationaryProgramMatchesWorkloadStream)
-{
-    // The anchor property: a program with no phases and no churn is
-    // the stationary stream — draw for draw, across the fuzzed spec
-    // space (both arrival processes, deadlines, reuse streams).
-    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-        Rng rng(seed * 0x51ed2701ULL);
-        const auto spec = randomSpec(rng, seed);
-        TrafficProgram program;
-        program.base = spec;
-        const auto viaTraffic = materialize(program);
-        const auto viaWorkload = WorkloadGenerator(spec).generate();
-        SCOPED_TRACE("seed " + std::to_string(seed));
-        ASSERT_EQ(viaTraffic.size(), viaWorkload.size());
-        for (std::size_t i = 0; i < viaTraffic.size(); ++i)
-            ASSERT_TRUE(sameRequest(viaTraffic[i], viaWorkload[i]))
-                << "trace diverged at index " << i;
-    }
-}
-
 TEST(TrafficProperties, ChurnRetiresStreamFrameHistory)
 {
     // mapReuseProb = 1 on a single stream: without churn one cloudId
@@ -2145,6 +2138,17 @@ TEST(TrafficProperties, MalformedSchedulesThrow)
                        "0 0 0 1 500 0\n"
                        "1 0 0 2 100 0\n"),
                  std::invalid_argument); // out of arrival order
+    EXPECT_THROW(parse("pointacc-schedule v1 3\n"
+                       "0 0 0 1 10 0\n"
+                       "5 0 0 2 11 0\n"
+                       "5 0 0 3 12 0\n"),
+                 std::invalid_argument); // repeated id
+    EXPECT_THROW(parse("pointacc-schedule v1 1\n"
+                       "9223372036854775808 0 0 1 10 0\n"),
+                 std::invalid_argument); // hedge-range id (bit 63)
+    EXPECT_THROW(parse("pointacc-schedule v1 1000000000000000000\n"
+                       "0 0 0 1 10 0\n"),
+                 std::invalid_argument); // huge header count
 
     const auto ok = parse("pointacc-schedule v1 1\n"
                           "7 1 0 9 100 600\n");
@@ -2155,6 +2159,91 @@ TEST(TrafficProperties, MalformedSchedulesThrow)
     EXPECT_EQ(ok[0].cloudId, 9u);
     EXPECT_EQ(ok[0].arrivalCycle, 100u);
     EXPECT_EQ(ok[0].deadlineCycle, 600u);
+}
+
+TEST(TrafficProperties, MutatedSchedulesThrowOrServe)
+{
+    // Seeded mutation fuzz over readSchedule: byte flips, truncation,
+    // duplicated or swapped rows and edited digits applied to a valid
+    // schedule. Every mutant either throws std::invalid_argument (at
+    // parse or serve time) or serves to a conserving report on a
+    // 2-bucket table-model fleet — it never aborts the process.
+    Rng specRng(0x5ced);
+    auto trace = WorkloadGenerator(randomSpec(specRng, 17)).generate();
+    trace.resize(std::min<std::size_t>(trace.size(), 40));
+    std::ostringstream os;
+    writeSchedule(os, trace);
+    const std::string valid = os.str();
+    const RandomPhasedServiceModel model(17);
+
+    Rng rng(0xf022);
+    std::uint64_t served = 0;
+    for (std::uint64_t iter = 0; iter < 2000; ++iter) {
+        SCOPED_TRACE("mutant " + std::to_string(iter));
+        std::string text = valid;
+        for (std::uint64_t e = 1 + rng.range(2); e > 0 && !text.empty();
+             --e) {
+            const auto at =
+                static_cast<std::size_t>(rng.range(text.size()));
+            // The row holding `at` (npos + 1 wraps to 0 on row 0).
+            const std::size_t start =
+                at == 0 ? 0 : text.rfind('\n', at - 1) + 1;
+            const std::size_t end =
+                std::min(text.find('\n', start), text.size());
+            const std::string row =
+                text.substr(start, end - start) + "\n";
+            switch (rng.range(5)) {
+              case 0: // byte flip
+                text[at] =
+                    static_cast<char>(text[at] ^ (1 << rng.range(8)));
+                break;
+              case 1: // truncation
+                text.resize(at);
+                break;
+              case 2: // duplicated row
+                text.insert(start, row);
+                break;
+              case 3: { // swapped rows: move this row to another line
+                text.erase(start, row.size());
+                const std::size_t to =
+                    static_cast<std::size_t>(rng.range(text.size() + 1));
+                text.insert(to == 0 ? 0 : text.rfind('\n', to - 1) + 1,
+                            row);
+                break;
+              }
+              default: // an edited digit, or a run of 9s spliced in
+                if (rng.range(2) == 0 && std::isdigit(
+                        static_cast<unsigned char>(text[at])) != 0)
+                    text[at] = static_cast<char>('0' + rng.range(10));
+                else
+                    text.insert(at, std::string(1 + rng.range(20), '9'));
+                break;
+            }
+        }
+
+        std::istringstream is(text);
+        std::vector<Request> mutant;
+        try {
+            mutant = readSchedule(is);
+        } catch (const std::invalid_argument &) {
+            continue;
+        }
+        Rng cfgRng(iter);
+        FleetScheduler sched({pointAccConfig(), pointAccEdgeConfig()},
+                             model, {1.0, 2.0}, randomConfig(cfgRng));
+        ServingReport report;
+        try {
+            report = sched.run(mutant);
+        } catch (const std::invalid_argument &) {
+            continue;
+        }
+        served += 1;
+        EXPECT_EQ(report.generated, mutant.size());
+        checkInvariants(report, iter);
+    }
+    // Enough mutants parse and serve (about one in twenty) that the
+    // fuzz exercises the scheduler, not just the parser.
+    EXPECT_GT(served, 50u) << served;
 }
 
 TEST(AutoscalerProperties, ScaledRunsConserveAndAreByteIdentical)
@@ -2194,7 +2283,7 @@ TEST(AutoscalerProperties, ScaledRunsConserveAndAreByteIdentical)
         scfg.autoscaler.cooldownCycles = rng.range(150'000);
 
         FleetScheduler sched(fleet, model, {1.0, 2.0}, scfg);
-        TrafficStream stream(program);
+        WorkloadStream stream(program);
         const auto report = sched.run(stream);
         checkInvariants(report, seed);
 
@@ -2217,7 +2306,7 @@ TEST(AutoscalerProperties, ScaledRunsConserveAndAreByteIdentical)
                   fleet.size() * report.horizonCycles);
 
         // Byte-identical on a repeat, and streaming == materialized.
-        TrafficStream again(program);
+        WorkloadStream again(program);
         ASSERT_EQ(servingJsonOf(report),
                   servingJsonOf(sched.run(again)));
         ASSERT_EQ(servingJsonOf(report),
