@@ -3,8 +3,10 @@
 # the serving-runtime subsystem (src/runtime/ is new code held to a
 # stricter bar than the seed sources), the Release-only scale tier and
 # simulator-performance floor gate (bench_simperf), one-run
-# serve-steady, serve-overload and plan-cold smokes of the repository
-# benchmark (perfbench), the capacity-
+# accel-suite, serve-steady, serve-overload and plan-cold smokes of the
+# repository benchmark (perfbench; accel-suite is the only stage that
+# cross-checks sortKernelMap against hashKernelMap on every network's
+# clouds and checks the simulator's canonical digest), the capacity-
 # planner gate (bench_serving --sweep plan: planner pick must equal
 # exhaustive search with strictly fewer probes), the heterogeneous
 # lattice gate (bench_serving --sweep hetero: watt-budgeted server +
@@ -91,6 +93,20 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 # docs/PERFORMANCE.md for the floor-update procedure.
 "${BUILD_DIR}/bench_simperf" --quick --threads 4 \
     --json "${BUILD_DIR}/BENCH_simperf.json"
+
+# Repository-benchmark smoke of the simulator (Release): one
+# accel-suite run (all 8 benchmark networks on their bench clouds)
+# must report "correct": true, which covers the canonical digest of
+# the simulated outputs against perfbench/digests.json, byte-identical
+# repeats, and sortKernelMap == hashKernelMap on every cloud the
+# sparse-convolution networks map.
+echo "== perfbench accel-suite smoke =="
+python3 perfbench/run.py --workload accel-suite --seed 0 --seconds 1 \
+    --trace 0 | tail -n 1 | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+print("perfbench accel-suite correct:", result["correct"])
+sys.exit(0 if result["correct"] is True else 1)'
 
 # Repository-benchmark smoke (Release): one serve-steady run of
 # perfbench (10^6 bursty EDF requests through the 4096-entry map

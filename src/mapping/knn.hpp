@@ -8,6 +8,11 @@
  * sphere of radius r. Weight index n is the neighbor's rank (0..k-1),
  * since PointNet++-style aggregation treats each neighbor slot
  * uniformly but the MapSet still needs a stable grouping.
+ *
+ * Both searches bucket the input into a uniform grid once per call
+ * and visit only the cells that can hold an answer; every field of
+ * every list equals an all-pairs search's (test_mapping compares
+ * them against a brute-force oracle).
  */
 
 #ifndef POINTACC_MAPPING_KNN_HPP
@@ -32,10 +37,13 @@ struct NeighborList
 };
 
 /**
- * Brute-force kNN of each `queries` point in `input`.
+ * kNN of each `queries` point in `input`.
  *
  * Ties on distance break toward the lower input index so results are
- * bit-identical to the hardware sorter (stable comparisons).
+ * bit-identical to the hardware sorter (stable comparisons). Rings of
+ * grid cells are searched outward from the query's cell until every
+ * unsearched point is strictly farther than the k-th neighbor, so the
+ * tie-break never depends on which cells were searched.
  *
  * @param input    searched cloud
  * @param queries  query cloud
@@ -49,7 +57,8 @@ std::vector<NeighborList> kNearestNeighbors(const PointCloud &input,
  * Ball query: kNN constrained to squared radius `radius2`. Queries with
  * fewer than k in-ball neighbors return short lists (the functional
  * convolution layers then re-use the closest neighbor for padding, as
- * PointNet++ does).
+ * PointNet++ does). Grid cells are at least the radius wide, so only
+ * the 27 cells around a query's cell are searched.
  */
 std::vector<NeighborList> ballQuery(const PointCloud &input,
                                     const PointCloud &queries, int k,

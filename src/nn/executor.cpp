@@ -1,6 +1,7 @@
 #include "nn/executor.hpp"
 
 #include <algorithm>
+#include <map>
 
 #include "core/logging.hpp"
 #include "mapping/fps.hpp"
@@ -12,15 +13,51 @@ namespace pointacc {
 
 namespace {
 
+/** What built a MapSet kept on a level. */
+enum class MapRole
+{
+    Submanifold, ///< kernel map of the level onto itself, by kernel size
+    FromFiner,   ///< strided conv's map from the level below, by kernel
+    SelfKnn,     ///< kNN of the level on itself, by k
+};
+
+/**
+ * One resolution of the walk: a cloud plus the maps built on it. The
+ * two move and stack together, so a map is found again exactly when
+ * its level comes back, and is freed when its level is dropped.
+ */
+struct Level
+{
+    explicit Level(PointCloud c = {}) : cloud(std::move(c)) {}
+
+    PointCloud cloud;
+    std::map<std::pair<MapRole, int>, MapSet> maps;
+};
+
+/** The maps under (role, param) on `level`, built by `build` once. */
+template <typename Build>
+const MapSet &
+keptMaps(Level &level, MapRole role, int param, Build build)
+{
+    const auto key = std::make_pair(role, param);
+    auto it = level.maps.find(key);
+    if (it == level.maps.end())
+        it = level.maps.emplace(key, build()).first;
+    return it->second;
+}
+
 /** Execution state threaded through the layer walk. */
 struct ExecState
 {
-    PointCloud cloud;          ///< current resolution coordinates
+    Level level;               ///< current resolution
     std::uint32_t channels;    ///< current feature width
     std::int32_t chainId = 0;  ///< next dense-chain id
     bool inDenseChain = false;
-    /** Encoder clouds for U-Net upsampling / FP skip levels. */
-    std::vector<PointCloud> levelStack;
+    /** Encoder levels for U-Net upsampling / FP skip levels. While a
+     *  level is current, the stack beneath it is the one it was
+     *  created over: pushes and pops only happen as the current level
+     *  changes. */
+    std::vector<Level> levelStack;
 
     const LayerVisitor *visit = nullptr;
 };
@@ -61,7 +98,7 @@ runDense(ExecState &st, const LayerDesc &layer, const DenseDesc &d)
 {
     simAssert(d.inChannels == st.channels,
               ("channel mismatch at " + layer.name).c_str());
-    emitDense(st, layer.name, st.cloud.size(), d.inChannels,
+    emitDense(st, layer.name, st.level.cloud.size(), d.inChannels,
               d.outChannels);
     st.channels = d.outChannels;
 }
@@ -73,73 +110,82 @@ runSparseConv(ExecState &st, const LayerDesc &layer,
     simAssert(d.inChannels == st.channels + d.skipChannels,
               ("channel mismatch at " + layer.name).c_str());
 
-    PointCloud output;
-    MapSet maps;
+    const PointCloud &cloud = st.level.cloud;
+    const bool down = !d.transposed && d.strideMultiplier > 1;
+    const bool moves = d.transposed || down;
+    Level next; // the level this layer moves to, if it moves
+    MapSet transposed;
+    const MapSet *maps = nullptr;
     std::vector<MappingOpInfo> mappingOps;
+    KernelMapConfig kcfg;
+    kcfg.kernelSize = d.kernelSize;
 
     if (d.transposed) {
         // Upsample back to the finest stashed encoder level: the maps
-        // are the transpose of the corresponding downsample's maps.
+        // are the transpose of the corresponding downsample's maps,
+        // which the downsample kept on the current level.
         simAssert(!st.levelStack.empty(),
                   "transposed conv without a matching downsample");
-        output = std::move(st.levelStack.back());
+        next = std::move(st.levelStack.back());
         st.levelStack.pop_back();
 
-        KernelMapConfig kcfg;
-        kcfg.kernelSize = d.kernelSize;
-        kcfg.inStride = output.tensorStride();
-        kcfg.outStride = st.cloud.tensorStride();
-        const MapSet down = sortKernelMap(output, st.cloud, kcfg);
-        maps = transposeMaps(down, d.kernelSize);
-        mappingOps.push_back({MappingOpKind::KernelMap, output.size(),
-                              st.cloud.size(), 0,
-                              static_cast<int>(maps.numWeights())});
-    } else if (d.strideMultiplier > 1) {
+        kcfg.inStride = next.cloud.tensorStride();
+        kcfg.outStride = cloud.tensorStride();
+        const MapSet &down =
+            keptMaps(st.level, MapRole::FromFiner, d.kernelSize, [&] {
+                return sortKernelMap(next.cloud, cloud, kcfg);
+            });
+        transposed = transposeMaps(down, d.kernelSize);
+        maps = &transposed;
+        mappingOps.push_back({MappingOpKind::KernelMap, next.cloud.size(),
+                              cloud.size(), 0,
+                              static_cast<int>(maps->numWeights())});
+    } else if (down) {
         // Strided downsample: quantize then kernel-map.
         const std::int32_t outStride =
-            st.cloud.tensorStride() * d.strideMultiplier;
-        output = quantizeDownsample(st.cloud, outStride);
-        mappingOps.push_back({MappingOpKind::Quantize, st.cloud.size(),
-                              output.size(), 0, 0});
+            cloud.tensorStride() * d.strideMultiplier;
+        next.cloud = quantizeDownsample(cloud, outStride);
+        mappingOps.push_back({MappingOpKind::Quantize, cloud.size(),
+                              next.cloud.size(), 0, 0});
 
-        KernelMapConfig kcfg;
-        kcfg.kernelSize = d.kernelSize;
-        kcfg.inStride = st.cloud.tensorStride();
+        kcfg.inStride = cloud.tensorStride();
         kcfg.outStride = outStride;
-        maps = sortKernelMap(st.cloud, output, kcfg);
-        mappingOps.push_back({MappingOpKind::KernelMap, st.cloud.size(),
-                              output.size(), 0,
-                              static_cast<int>(maps.numWeights())});
-
-        // Stash the fine cloud for the mirroring transposed conv.
-        st.levelStack.push_back(st.cloud);
+        maps = &keptMaps(next, MapRole::FromFiner, d.kernelSize, [&] {
+            return sortKernelMap(cloud, next.cloud, kcfg);
+        });
+        mappingOps.push_back({MappingOpKind::KernelMap, cloud.size(),
+                              next.cloud.size(), 0,
+                              static_cast<int>(maps->numWeights())});
     } else {
         // Submanifold convolution at the same resolution.
-        output = st.cloud;
-        KernelMapConfig kcfg;
-        kcfg.kernelSize = d.kernelSize;
-        kcfg.inStride = st.cloud.tensorStride();
-        kcfg.outStride = st.cloud.tensorStride();
-        maps = sortKernelMap(st.cloud, output, kcfg);
-        mappingOps.push_back({MappingOpKind::KernelMap, st.cloud.size(),
-                              output.size(), 0,
-                              static_cast<int>(maps.numWeights())});
+        kcfg.inStride = cloud.tensorStride();
+        kcfg.outStride = cloud.tensorStride();
+        maps = &keptMaps(st.level, MapRole::Submanifold, d.kernelSize, [&] {
+            return sortKernelMap(cloud, cloud, kcfg);
+        });
+        mappingOps.push_back({MappingOpKind::KernelMap, cloud.size(),
+                              cloud.size(), 0,
+                              static_cast<int>(maps->numWeights())});
     }
 
     LayerWork w;
     w.name = layer.name;
     w.isDense = false;
-    w.numIn = st.cloud.size();
-    w.numOut = output.size();
+    w.numIn = cloud.size();
+    w.numOut = moves ? next.cloud.size() : cloud.size();
     w.cin = d.inChannels;
     w.cout = d.outChannels;
-    w.maps = &maps;
+    w.maps = maps;
     w.mappingOps = std::move(mappingOps);
-    w.macs = maps.size() * static_cast<std::uint64_t>(d.inChannels) *
+    w.macs = maps->size() * static_cast<std::uint64_t>(d.inChannels) *
              d.outChannels;
     emit(st, std::move(w));
 
-    st.cloud = std::move(output);
+    // Stash the fine level for the mirroring transposed conv.
+    if (down)
+        st.levelStack.push_back(std::move(st.level));
+    if (moves)
+        st.level = std::move(next);
     st.channels = d.outChannels;
 }
 
@@ -150,16 +196,17 @@ runSetAbstraction(ExecState &st, const LayerDesc &layer,
     simAssert(d.inChannels == st.channels,
               ("channel mismatch at " + layer.name).c_str());
 
+    const PointCloud &cloud = st.level.cloud;
     if (d.numCenters == 0) {
         // Group-all: one global region, MLP over every point, max-pool.
         std::uint32_t cur = d.inChannels + 3;
         for (std::size_t i = 0; i < d.scales[0].mlp.size(); ++i) {
             emitDense(st, layer.name + ".mlp" + std::to_string(i),
-                      st.cloud.size(), cur, d.scales[0].mlp[i]);
+                      cloud.size(), cur, d.scales[0].mlp[i]);
             cur = d.scales[0].mlp[i];
         }
-        st.levelStack.push_back(st.cloud); // FP layers climb back up
-        st.cloud = PointCloud({Coord3{0, 0, 0}});
+        st.levelStack.push_back(std::move(st.level)); // FP climbs back
+        st.level = Level(PointCloud({Coord3{0, 0, 0}}));
         st.channels = cur;
         return;
     }
@@ -167,9 +214,9 @@ runSetAbstraction(ExecState &st, const LayerDesc &layer,
     // Output construction: farthest point sampling.
     const std::size_t centers =
         std::min<std::size_t>(d.numCenters, std::max<std::size_t>(
-                                                1, st.cloud.size() / 2));
-    const auto selected = farthestPointSampling(st.cloud, centers);
-    const PointCloud queryCloud = gatherPoints(st.cloud, selected);
+                                                1, cloud.size() / 2));
+    const auto selected = farthestPointSampling(cloud, centers);
+    PointCloud queryCloud = gatherPoints(cloud, selected);
 
     std::uint32_t outChannels = 0;
     for (std::size_t s = 0; s < d.scales.size(); ++s) {
@@ -178,12 +225,12 @@ runSetAbstraction(ExecState &st, const LayerDesc &layer,
         std::vector<NeighborList> lists;
         MappingOpKind searchKind;
         if (scale.radiusGrid > 0) {
-            lists = ballQuery(st.cloud, queryCloud, scale.k,
+            lists = ballQuery(cloud, queryCloud, scale.k,
                               static_cast<std::int64_t>(scale.radiusGrid) *
                                   scale.radiusGrid);
             searchKind = MappingOpKind::BallQuery;
         } else {
-            lists = kNearestNeighbors(st.cloud, queryCloud, scale.k);
+            lists = kNearestNeighbors(cloud, queryCloud, scale.k);
             searchKind = MappingOpKind::Knn;
         }
         MapSet maps = neighborsToMaps(lists, scale.k);
@@ -195,17 +242,17 @@ runSetAbstraction(ExecState &st, const LayerDesc &layer,
         LayerWork w;
         w.name = layer.name + ".s" + std::to_string(s) + ".mlp0";
         w.isDense = false;
-        w.numIn = st.cloud.size();
+        w.numIn = cloud.size();
         w.numOut = queryCloud.size();
         w.cin = d.inChannels + 3; // grouped features + relative coords
         w.cout = scale.mlp[0];
         w.maps = &maps;
         w.macs = maps.size() * static_cast<std::uint64_t>(w.cin) * w.cout;
         if (s == 0) {
-            w.mappingOps.push_back({MappingOpKind::Fps, st.cloud.size(),
+            w.mappingOps.push_back({MappingOpKind::Fps, cloud.size(),
                                     queryCloud.size(), 0, 0});
         }
-        w.mappingOps.push_back({searchKind, st.cloud.size(),
+        w.mappingOps.push_back({searchKind, cloud.size(),
                                 queryCloud.size(), scale.k, 0,
                                 survivors});
         const std::uint64_t edges = maps.size();
@@ -223,8 +270,8 @@ runSetAbstraction(ExecState &st, const LayerDesc &layer,
         outChannels += cur; // MSG concatenates scale outputs
     }
 
-    st.levelStack.push_back(st.cloud); // FP layers climb back up
-    st.cloud = queryCloud;
+    st.levelStack.push_back(std::move(st.level)); // FP layers climb back up
+    st.level = Level(std::move(queryCloud));
     st.channels = outChannels;
 }
 
@@ -234,35 +281,36 @@ runFeaturePropagation(ExecState &st, const LayerDesc &layer,
 {
     simAssert(!st.levelStack.empty(),
               "feature propagation without a matching abstraction");
-    PointCloud fine = std::move(st.levelStack.back());
+    Level fine = std::move(st.levelStack.back());
     st.levelStack.pop_back();
+    const PointCloud &cloud = st.level.cloud;
 
     // 3-NN interpolation: each fine point finds 3 coarse neighbors.
     LayerWork w;
     w.name = layer.name + ".mlp0";
     w.isDense = false;
-    w.numIn = st.cloud.size();
-    w.numOut = fine.size();
+    w.numIn = cloud.size();
+    w.numOut = fine.cloud.size();
     w.cin = d.inChannels;
     w.cout = d.mlp[0];
-    const auto lists = kNearestNeighbors(st.cloud, fine, 3);
+    const auto lists = kNearestNeighbors(cloud, fine.cloud, 3);
     MapSet maps = neighborsToMaps(lists, 3);
     w.maps = &maps;
     w.mappingOps.push_back(
-        {MappingOpKind::Knn, st.cloud.size(), fine.size(), 3, 0});
+        {MappingOpKind::Knn, cloud.size(), fine.cloud.size(), 3, 0});
     // Interpolated features are per fine point; the unit MLP runs per
     // fine point.
-    w.macs = fine.size() * static_cast<std::uint64_t>(d.inChannels) *
+    w.macs = fine.cloud.size() * static_cast<std::uint64_t>(d.inChannels) *
              d.mlp[0];
     emit(st, std::move(w));
 
     std::uint32_t cur = d.mlp[0];
     for (std::size_t i = 1; i < d.mlp.size(); ++i) {
         emitDense(st, layer.name + ".mlp" + std::to_string(i),
-                  fine.size(), cur, d.mlp[i]);
+                  fine.cloud.size(), cur, d.mlp[i]);
         cur = d.mlp[i];
     }
-    st.cloud = std::move(fine);
+    st.level = std::move(fine);
     st.channels = cur;
 }
 
@@ -274,19 +322,23 @@ runEdgeConv(ExecState &st, const LayerDesc &layer, const EdgeConvDesc &d)
 
     // Feature-space kNN; geometry stands in for the feature metric
     // (identical cost structure — Section 2, graph-based special case).
-    const auto lists = kNearestNeighbors(st.cloud, st.cloud, d.k);
-    MapSet maps = neighborsToMaps(lists, d.k);
+    const PointCloud &cloud = st.level.cloud;
+    const MapSet &maps =
+        keptMaps(st.level, MapRole::SelfKnn, d.k, [&] {
+            return neighborsToMaps(kNearestNeighbors(cloud, cloud, d.k),
+                                   d.k);
+        });
 
     LayerWork w;
     w.name = layer.name + ".mlp0";
     w.isDense = false;
-    w.numIn = st.cloud.size();
-    w.numOut = st.cloud.size();
+    w.numIn = cloud.size();
+    w.numOut = cloud.size();
     w.cin = 2 * d.inChannels; // edge features (f_i, f_j - f_i)
     w.cout = d.mlp[0];
     w.maps = &maps;
-    MappingOpInfo knnOp{MappingOpKind::Knn, st.cloud.size(),
-                        st.cloud.size(), d.k, 0, 0,
+    MappingOpInfo knnOp{MappingOpKind::Knn, cloud.size(),
+                        cloud.size(), d.k, 0, 0,
                         std::max<std::uint32_t>(3, d.inChannels)};
     w.mappingOps.push_back(knnOp);
     const std::uint64_t edges = maps.size();
@@ -328,7 +380,7 @@ runGlobalPool(ExecState &st, const LayerDesc &layer, const GlobalPoolDesc &d)
     // concatenated by a following Concat layer).
     st.inDenseChain = false;
     if (!d.broadcast)
-        st.cloud = PointCloud({Coord3{0, 0, 0}});
+        st.level = Level(PointCloud({Coord3{0, 0, 0}}));
 }
 
 } // namespace
@@ -340,7 +392,7 @@ executeNetwork(const Network &net, const PointCloud &input,
     simAssert(input.isSorted(), "executor requires a sorted input cloud");
 
     ExecState st;
-    st.cloud = input;
+    st.level = Level(input);
     st.channels = net.inputChannels;
     st.visit = &visit;
 

@@ -5,9 +5,20 @@
  * the functional mapping references.
  *
  * Both the PointAcc simulator and the baseline platform models consume
- * LayerWork. Emitting through a visitor keeps memory bounded: maps of
- * a full-scale MinkowskiUNet level are tens of MB and only one layer's
- * maps are alive at a time.
+ * LayerWork through a visitor. The walk keeps each map with the cloud
+ * it was built on (a level), so a layer that needs a map its level
+ * already holds reads it instead of rebuilding it: submanifold kernel
+ * maps by kernel size, a downsample's map for the transposed conv that
+ * mirrors it, and a cloud's kNN of itself by k. A MinkowskiUNet walk
+ * builds 9 kernel maps instead of 42, and DGCNN one kNN instead of
+ * three. Every LayerWork is unchanged, mapping operations included, so
+ * the cost models still charge each layer its mapping.
+ *
+ * Maps live as long as their level: the full-resolution level's maps
+ * survive the whole encoder-decoder round trip. Peak RSS (VmHWM) of a
+ * full-scale (scale 1.0, 84k points) MinkNet(o) Accelerator::run,
+ * Release build: 14.4 MB when only one layer's maps were alive at a
+ * time, 29.0 MB with maps kept per level.
  */
 
 #ifndef POINTACC_NN_EXECUTOR_HPP

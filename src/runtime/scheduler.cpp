@@ -1488,6 +1488,10 @@ struct Run
                 throw std::invalid_argument(
                     "request " + std::to_string(r.id) +
                     " names a size bucket outside the catalog");
+            if (r.arrivalCycle > kMaxArrivalNs)
+                throw std::invalid_argument(
+                    "request " + std::to_string(r.id) +
+                    " arrives above the 2^62 ns ceiling");
             report.generated += 1;
             r.estimatedCycles = priceOf(r).estimateNs;
             // The cadence tracks the offered arrival process (drops

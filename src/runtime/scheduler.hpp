@@ -382,7 +382,7 @@ class FleetScheduler
      * pipelines and the event heap — never the whole trace. The vector
      * overload is this one over a VectorRequestSource. Both throw
      * std::invalid_argument on a request whose sizeBucket is outside
-     * the bucket scales.
+     * the bucket scales or whose arrival is above kMaxArrivalNs.
      */
     ServingReport run(RequestSource &source) const;
 

@@ -112,6 +112,10 @@ readSchedule(std::istream &is)
             throw std::invalid_argument(
                 "truncated or malformed schedule row " +
                 std::to_string(i));
+        if (r.arrivalCycle > kMaxArrivalNs)
+            throw std::invalid_argument(
+                "schedule arrival above the 2^62 ns ceiling at row " +
+                std::to_string(i));
         if (!out.empty() && !arrivalOrderBefore(out.back(), r))
             throw std::invalid_argument(
                 "schedule rows out of arrival order at row " +

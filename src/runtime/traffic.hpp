@@ -59,8 +59,9 @@ TrafficProgram diurnalProgram(const WorkloadSpec &base,
  * Schedule-file replay. writeSchedule records a trace as a versioned
  * text schedule (one request per line); readSchedule parses one back,
  * throwing std::invalid_argument on a bad magic/version, a malformed
- * or truncated row, rows out of arrival order, a repeated id, or an id
- * with bit 63 set (the range hedged duplicates use). A recorded schedule
+ * or truncated row, rows out of arrival order, a repeated id, an id
+ * with bit 63 set (the range hedged duplicates use), or an arrival
+ * above kMaxArrivalNs (runtime/workload). A recorded schedule
  * replayed through VectorRequestSource serves byte-identically to the
  * stream that produced it (pinned by test_runtime_properties).
  */

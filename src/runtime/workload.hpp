@@ -228,6 +228,16 @@ double exponentialDraw(Rng &rng, double mean);
 
 } // namespace detail
 
+/**
+ * Latest arrival time the serving runtime accepts, in ns (2^62).
+ * The scheduler derives every later time by adding service, backoff
+ * and hold delays to an arrival; the ceiling leaves those sums
+ * 3 * 2^62 ns (over four centuries) of headroom before they could
+ * wrap. readSchedule and FleetScheduler::run throw
+ * std::invalid_argument above it.
+ */
+inline constexpr std::uint64_t kMaxArrivalNs = 1ULL << 62;
+
 /** Global arrival order: arrival cycle, ties broken by id. Both the
  *  generator and the scheduler sort by this, so they can never drift. */
 inline bool

@@ -4,12 +4,17 @@
  * hash-based and mergesort-based kernel mapping are interchangeable —
  * they must produce identical MapSets on every cloud (this is the
  * correctness claim behind PointAcc's ranking-based Mapping Unit).
+ * Likewise the grid-indexed ball query and kNN must equal the
+ * brute-force oracles here field for field.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 
+#include "core/rng.hpp"
 #include "datasets/synthetic.hpp"
 #include "mapping/fps.hpp"
 #include "mapping/kernel_map.hpp"
@@ -195,6 +200,175 @@ TEST(BallQuery, SubsetOfKnn)
         }
         EXPECT_EQ(ball[q].indices, expected) << "query " << q;
     }
+}
+
+// ---------------------------------------------------------------- //
+//           Grid neighbour search vs the brute-force oracle         //
+// ---------------------------------------------------------------- //
+
+/** The k smallest (distance, index) pairs of `cands`, in order, with
+ *  the number of candidates offered. */
+NeighborList
+oracleSelect(std::vector<std::pair<std::int64_t, PointIndex>> cands,
+             int k)
+{
+    std::sort(cands.begin(), cands.end());
+    NeighborList list;
+    list.candidates = cands.size();
+    for (std::size_t i = 0;
+         i < std::min(cands.size(), static_cast<std::size_t>(k)); ++i) {
+        list.distances2.push_back(cands[i].first);
+        list.indices.push_back(cands[i].second);
+    }
+    return list;
+}
+
+/** Brute-force kNN: every input point is a candidate. */
+std::vector<NeighborList>
+oracleKnn(const PointCloud &input, const PointCloud &queries, int k)
+{
+    std::vector<NeighborList> out;
+    for (const Coord3 &q : queries.coordinates()) {
+        std::vector<std::pair<std::int64_t, PointIndex>> cands;
+        for (std::size_t i = 0; i < input.size(); ++i)
+            cands.emplace_back(
+                input.coord(static_cast<PointIndex>(i)).distance2(q),
+                static_cast<PointIndex>(i));
+        out.push_back(oracleSelect(std::move(cands), k));
+    }
+    return out;
+}
+
+/** Brute-force ball query: the in-radius points are the candidates. */
+std::vector<NeighborList>
+oracleBallQuery(const PointCloud &input, const PointCloud &queries, int k,
+                std::int64_t radius2)
+{
+    std::vector<NeighborList> out;
+    for (const Coord3 &q : queries.coordinates()) {
+        std::vector<std::pair<std::int64_t, PointIndex>> cands;
+        for (std::size_t i = 0; i < input.size(); ++i) {
+            const auto d =
+                input.coord(static_cast<PointIndex>(i)).distance2(q);
+            if (d <= radius2)
+                cands.emplace_back(d, static_cast<PointIndex>(i));
+        }
+        out.push_back(oracleSelect(std::move(cands), k));
+    }
+    return out;
+}
+
+void
+expectSameLists(const std::vector<NeighborList> &got,
+                const std::vector<NeighborList> &want,
+                const std::string &what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t q = 0; q < got.size(); ++q) {
+        EXPECT_EQ(got[q].indices, want[q].indices) << what << " q" << q;
+        EXPECT_EQ(got[q].distances2, want[q].distances2)
+            << what << " q" << q;
+        EXPECT_EQ(got[q].candidates, want[q].candidates)
+            << what << " q" << q;
+    }
+}
+
+/** `n` points drawn uniformly from [lo, lo + extent)^3, duplicates
+ *  kept (a small extent makes many). */
+PointCloud
+randomCloud(Rng &rng, std::size_t n, std::int32_t lo, std::uint64_t extent)
+{
+    std::vector<Coord3> coords;
+    for (std::size_t i = 0; i < n; ++i)
+        coords.emplace_back(lo + static_cast<std::int32_t>(rng.range(extent)),
+                            lo + static_cast<std::int32_t>(rng.range(extent)),
+                            lo + static_cast<std::int32_t>(rng.range(extent)));
+    return PointCloud(std::move(coords));
+}
+
+/** Check both searches against the oracles on one (input, queries). */
+void
+checkAgainstOracle(const PointCloud &input, const PointCloud &queries,
+                   const std::vector<int> &ks,
+                   const std::vector<std::int64_t> &radii2,
+                   const std::string &what)
+{
+    for (const int k : ks) {
+        const std::string tag = what + " k=" + std::to_string(k);
+        expectSameLists(kNearestNeighbors(input, queries, k),
+                        oracleKnn(input, queries, k), tag + " knn");
+        for (const std::int64_t r2 : radii2)
+            expectSameLists(ballQuery(input, queries, k, r2),
+                            oracleBallQuery(input, queries, k, r2),
+                            tag + " ball r2=" + std::to_string(r2));
+    }
+}
+
+TEST(NeighborOracle, SeededRandomCloudsMatchBruteForce)
+{
+    // Extents from 2 (nearly every point duplicated, every distance
+    // tied) to 5000 (sparse); negative corners; queries drawn from a
+    // box wider than the input's, the input itself (self search) and
+    // k up to past the input size.
+    const std::uint64_t extents[] = {2, 6, 40, 300, 5000};
+    for (std::uint64_t seed = 0; seed < 40; ++seed) {
+        Rng rng(seed * 0x9e3779b9ULL + 1);
+        const std::uint64_t extent = extents[seed % 5];
+        const auto lo = -static_cast<std::int32_t>(rng.range(2 * extent));
+        const std::size_t n = 1 + rng.range(300);
+        const auto input = randomCloud(rng, n, lo, extent);
+        const auto queries = randomCloud(
+            rng, 1 + rng.range(60), lo - static_cast<std::int32_t>(extent),
+            3 * extent);
+        const auto r = static_cast<std::int64_t>(1 + rng.range(extent));
+        const std::vector<int> ks = {1, 3, 20, static_cast<int>(n) + 5};
+        const std::vector<std::int64_t> radii2 = {0, 1, r * r,
+                                                  r * r + r};
+        const std::string tag = "seed " + std::to_string(seed);
+        checkAgainstOracle(input, queries, ks, radii2, tag);
+        checkAgainstOracle(input, input, {20}, {r * r}, tag + " self");
+    }
+}
+
+TEST(NeighborOracle, SurfaceCloudsMatchBruteForce)
+{
+    // The shapes the networks search: surface-like object clouds.
+    const auto input = makeObjectCloud(31, 1500, 128);
+    const auto queries = makeObjectCloud(32, 200, 128);
+    checkAgainstOracle(input, queries, {3, 20, 32}, {169, 676},
+                       "object");
+    checkAgainstOracle(input, input, {20}, {49}, "object self");
+}
+
+TEST(NeighborOracle, EquidistantTiesAtTheKthPlace)
+{
+    // Six points at distance 1 from the origin (two of them
+    // duplicated) and a ring at distance 2: every k cuts through a
+    // tie, which must resolve toward the lower index.
+    PointCloud input({{0, 0, 2},  {1, 0, 0}, {0, -1, 0}, {-1, 0, 0},
+                      {0, 0, 1},  {0, 1, 0}, {0, 0, -1}, {2, 0, 0},
+                      {-1, 0, 0}, {0, 0, 1}, {0, -2, 0}, {0, 2, 0}});
+    PointCloud queries({{0, 0, 0}, {1, 1, 1}, {-1, 0, 0}});
+    checkAgainstOracle(input, queries, {1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13},
+                       {0, 1, 2, 4}, "ties");
+}
+
+TEST(NeighborOracle, SinglePointAndFarQueries)
+{
+    // One input point; and queries far outside the input's extent on
+    // every side, where ring expansion must still stop.
+    PointCloud single({{-7, 3, 12}});
+    PointCloud far({{-7, 3, 12},
+                    {100000000, 0, 0},
+                    {-100000000, -100000000, -100000000},
+                    {0, 0, 100000000},
+                    {-7, 3, 13}});
+    checkAgainstOracle(single, far, {1, 4}, {0, 1, 400}, "single");
+
+    Rng rng(77);
+    const auto input = randomCloud(rng, 200, -50, 100);
+    checkAgainstOracle(input, far, {1, 3, 20, 250}, {0, 1, 2500},
+                       "far");
 }
 
 TEST(NeighborsToMaps, GroupsByRank)

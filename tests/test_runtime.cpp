@@ -824,6 +824,26 @@ TEST(FleetScheduler, ConstructorRejectsBadFaultPrograms)
         std::invalid_argument);
 }
 
+TEST(FleetScheduler, ArrivalsAboveTheCeilingThrow)
+{
+    // Arrivals within one service time of 2^64 would wrap their
+    // completion times below their arrivals (to 9384 and 9385 ns
+    // here) while conservation still balanced.
+    const FixedServiceModel model(10'000);
+    const FleetScheduler sched({pointAccConfig()}, model, {1.0},
+                               SchedulerConfig{});
+    EXPECT_THROW(sched.run({makeRequest(0, 18446744073709551000ULL),
+                            makeRequest(1, 18446744073709551001ULL)}),
+                 std::invalid_argument);
+    EXPECT_THROW(sched.run({makeRequest(0, kMaxArrivalNs + 1)}),
+                 std::invalid_argument);
+
+    // The ceiling itself is served, and completes after it arrives.
+    const auto report = sched.run({makeRequest(0, kMaxArrivalNs)});
+    ASSERT_EQ(report.completed, 1u);
+    EXPECT_EQ(report.completionCycles[0], kMaxArrivalNs + 10'000);
+}
+
 TEST(FleetScheduler, ConstructorRejectsBadBatcherConfig)
 {
     // A bad batcher config throws at construction instead of exiting

@@ -2149,6 +2149,10 @@ TEST(TrafficProperties, MalformedSchedulesThrow)
     EXPECT_THROW(parse("pointacc-schedule v1 1000000000000000000\n"
                        "0 0 0 1 10 0\n"),
                  std::invalid_argument); // huge header count
+    EXPECT_THROW(parse("pointacc-schedule v1 2\n"
+                       "0 0 0 1 18446744073709551000 0\n"
+                       "1 0 0 1 18446744073709551001 0\n"),
+                 std::invalid_argument); // arrivals above kMaxArrivalNs
 
     const auto ok = parse("pointacc-schedule v1 1\n"
                           "7 1 0 9 100 600\n");
